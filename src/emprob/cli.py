@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands cover the pipeline stages individually plus one full run:
+Each subcommand reads what it needs from one lazy pipeline
+(PipelineResult), so it computes only the stages behind its own output:
 
 - enumerate: case-space size summary
 - fit: density fit report and sampled curves
@@ -19,21 +20,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from emprob import io as eio
-from emprob.cases import enumerate_cases
 from emprob.pipeline import (
     PipelineConfig,
-    band_tag,
-    fit_report_document,
-    load_inputs,
-    prepare,
+    PipelineResult,
     write_artifacts,
+    write_fit,
+    write_lattices,
+    write_scores,
+    write_trees,
 )
 from emprob.schema import ValidationError
 from emprob.scoring import score_patient
 from emprob.tree import leaf_count, node_count, tree_depth
+
+
+def _n_components(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
 
 _CONFIG_FLAGS = (
     # (flag, config key, type, help)
@@ -48,164 +52,50 @@ _CONFIG_FLAGS = (
     ("--min-samples-leaf", "min_samples_leaf", int, "smallest admissible leaf size"),
     ("--density-samples", "density_samples", int, "grid size for the density-curve export"),
     ("--band-approach", "band_approach", int, "score used for banding: 1, 2, or 3"),
+    ("--n-components", "n_components", _n_components,
+     "mixture size, or 'auto' to pick by information criterion"),
 )
 
 
-def _n_components(text: str) -> int | str:
-    # "auto" passes through; config_from_args maps it to None there, since a
-    # None here would look like the flag was never given
-    if text == "auto":
-        return "auto"
-    return int(text)
+def _print_case_space(result: PipelineResult, args: argparse.Namespace) -> None:
+    print(f"questions: {len(result.questionnaire.questions)}")
+    print(f"answers: {len(result.questionnaire.answer_ids)}")
+    print(f"cases: {len(result.case_set)}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="emprob",
-        description="Batch probability scoring over a questionnaire case space.",
-    )
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    for flag, _, typ, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, type=typ, help=help_text)
-    parser.add_argument(
-        "--n-components",
-        type=_n_components,
-        metavar="M",
-        help="mixture size, or 'auto' to pick by information criterion",
-    )
-    parser.add_argument(
-        "--thresholds",
-        type=float,
-        nargs=2,
-        metavar=("T1", "T2"),
-        help="category boundaries, 0 < T1 < T2 < 1",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("enumerate", help="print the case-space size")
-    sub.add_parser("fit", help="write the fit report and density samples")
-    sub.add_parser("score", help="write the score table")
-    sub.add_parser("tree", help="write the decision-tree DOT files")
-    sub.add_parser("lattice", help="write per-band CXT, lattice DOT, and supports")
-    sub.add_parser("report", help="write every artifact")
-    sp = sub.add_parser("score-patient", help="score one answer combination")
-    sp.add_argument("answers", help="comma-separated answer ids, e.g. a_1_q1,a_2_q2")
-    return parser
-
-
-def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    doc: dict = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
-            raise ValidationError(f"{args.config}: config must be a key/value document")
-        doc.update(loaded)
-    for flag, key, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if value is not None:
-            doc[key] = value
-    if args.n_components is not None:
-        doc["n_components"] = None if args.n_components == "auto" else args.n_components
-    if args.thresholds is not None:
-        doc["thresholds"] = tuple(args.thresholds)
-    return PipelineConfig.from_mapping(doc)
-
-
-def _out_dir(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _announce(paths: list[Path]) -> None:
-    for p in paths:
-        print(f"wrote {p}")
-
-
-def cmd_enumerate(cfg: PipelineConfig) -> int:
-    questionnaire, _ = load_inputs(cfg)
-    case_set = enumerate_cases(questionnaire)
-    print(f"questions: {len(questionnaire.questions)}")
-    print(f"answers: {len(questionnaire.answer_ids)}")
-    print(f"cases: {len(case_set)}")
-    return 0
-
-
-def cmd_fit(cfg: PipelineConfig) -> int:
-    result = prepare(cfg)
-    out = _out_dir(cfg)
-    report_path = out / "fit_report.json"
-    eio.write_json(fit_report_document(result), report_path)
-    samples_path = out / "density_samples.csv"
-    eio.export_density_samples_csv(result.gmm, result.kde, samples_path, cfg.density_samples)
+def _print_selection(result: PipelineResult, args: argparse.Namespace) -> None:
     sel = result.selection
     print(
         f"selected {result.gmm.n_components} components "
         f"(AIC favors {sel.aic_best_m}, BIC favors {sel.bic_best_m})"
     )
-    _announce([report_path, samples_path])
-    return 0
 
 
-def cmd_score(cfg: PipelineConfig) -> int:
-    result = prepare(cfg)
-    path = _out_dir(cfg) / "scores.csv"
-    eio.export_scores_csv(result.table, path)
+def _print_case_count(result: PipelineResult, args: argparse.Namespace) -> None:
     print(f"scored {len(result.table)} cases")
-    _announce([path])
-    return 0
 
 
-def cmd_tree(cfg: PipelineConfig) -> int:
-    result = prepare(cfg)
-    out = _out_dir(cfg)
-    paths = []
+def _print_trees(result: PipelineResult, args: argparse.Namespace) -> None:
     for name, tree in (("tree_full.dot", result.tree_full), ("tree_pruned.dot", result.tree_pruned)):
-        path = out / name
-        eio.export_dot(tree, path)
-        paths.append(path)
         print(
             f"{name}: {node_count(tree)} nodes, {leaf_count(tree)} leaves, "
             f"depth {tree_depth(tree)}"
         )
-    _announce(paths)
-    return 0
 
 
-def cmd_lattice(cfg: PipelineConfig) -> int:
-    result = prepare(cfg)
-    out = _out_dir(cfg)
-    paths = []
-    lattice_by_band = dict(result.lattices)
-    for band, ctx in result.band_contexts:
-        tag = band_tag(band)
-        lattice = lattice_by_band[band]
+def _print_lattices(result: PipelineResult, args: argparse.Namespace) -> None:
+    for (band, ctx), (_, lattice) in zip(result.band_contexts, result.lattices):
         print(
             f"band [{band[0]:g}, {band[1]:g}): {ctx.n_objects} cases, "
             f"{len(lattice.concepts)} concepts"
         )
-        eio.export_cxt(ctx, out / f"band_{tag}.cxt")
-        eio.export_dot(lattice, out / f"lattice_{tag}.dot")
-        eio.export_supports_csv(ctx, out / f"supports_{tag}.csv")
-        paths += [out / f"band_{tag}.cxt", out / f"lattice_{tag}.dot", out / f"supports_{tag}.csv"]
-    _announce(paths)
-    return 0
 
 
-def cmd_report(cfg: PipelineConfig) -> int:
-    result = prepare(cfg)
-    paths = write_artifacts(result)
-    print(f"scored {len(result.table)} cases")
-    _announce(paths)
-    return 0
-
-
-def cmd_score_patient(cfg: PipelineConfig, answers: str) -> int:
-    ids = tuple(a.strip() for a in answers.split(",") if a.strip())
+def _print_patient(result: PipelineResult, args: argparse.Namespace) -> None:
+    ids = tuple(a.strip() for a in args.answers.split(",") if a.strip())
     if not ids:
         raise ValidationError("no answer ids given")
-    result = prepare(cfg)
-    ps = score_patient(ids, result.bundle, thresholds=cfg.thresholds)
+    ps = score_patient(ids, result.bundle, thresholds=result.config.thresholds)
     doc = {
         "answers": sorted(ps.case.true_answers),
         "raw_sum": ps.raw_sum,
@@ -217,29 +107,63 @@ def cmd_score_patient(cfg: PipelineConfig, answers: str) -> int:
         "category": ps.category.name,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
-    return 0
+
+
+# subcommand -> (help, artifact writer or None, summary printer)
+COMMANDS = {
+    "enumerate": ("print the case-space size", None, _print_case_space),
+    "fit": ("write the fit report and density samples", write_fit, _print_selection),
+    "score": ("write the score table", write_scores, _print_case_count),
+    "tree": ("write the decision-tree DOT files", write_trees, _print_trees),
+    "lattice": ("write per-band CXT, lattice DOT, and supports", write_lattices, _print_lattices),
+    "report": ("write every artifact", write_artifacts, _print_case_count),
+    "score-patient": ("score one answer combination", None, _print_patient),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # a config flag that is not given leaves no attribute, so that it does
+    # not override the config file
+    parser = argparse.ArgumentParser(
+        prog="emprob",
+        description="Batch probability scoring over a questionnaire case space.",
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.add_argument("--config", metavar="PATH", default=None, help="JSON config file")
+    for flag, key, typ, help_text in _CONFIG_FLAGS:
+        parser.add_argument(flag, dest=key, type=typ, help=help_text)
+    parser.add_argument(
+        "--thresholds",
+        type=float,
+        nargs=2,
+        metavar=("T1", "T2"),
+        help="category boundaries, 0 < T1 < T2 < 1",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    sub.choices["score-patient"].add_argument(
+        "answers", help="comma-separated answer ids, e.g. a_1_q1,a_2_q2"
+    )
+    return parser
+
+
+def config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "command", "answers")}
+    if args.config is None:
+        return PipelineConfig.from_mapping(flags)
+    return PipelineConfig.from_file(args.config, **flags)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "score":
-            return cmd_score(cfg)
-        if args.command == "tree":
-            return cmd_tree(cfg)
-        if args.command == "lattice":
-            return cmd_lattice(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        if args.command == "score-patient":
-            return cmd_score_patient(cfg, args.answers)
-        parser.error(f"unknown command {args.command!r}")
+        result = PipelineResult(config_from_args(args))
+        _, write, summarize = COMMANDS[args.command]
+        paths = [] if write is None else write(result)
+        summarize(result, args)
+        for path in paths:
+            print(f"wrote {path}")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ with Silverman's bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,15 +20,6 @@ from emprob.schema import ValidationError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _SIGMA_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One mixture component: weight in (0, 1], mean, and stddev > 0."""
-
-    weight: float
-    mean: float
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -64,22 +55,6 @@ class GaussianMixture:
         for name, a in (("_w", w), ("_m", m), ("_s", s)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @classmethod
-    def from_components(cls, components: Sequence[GaussianComponent]) -> "GaussianMixture":
-        comps = sorted(components, key=lambda c: c.mean)
-        return cls(
-            weights=tuple(c.weight for c in comps),
-            means=tuple(c.mean for c in comps),
-            sigmas=tuple(c.sigma for c in comps),
-        )
-
-    @property
-    def components(self) -> tuple[GaussianComponent, ...]:
-        return tuple(
-            GaussianComponent(weight=w, mean=m, sigma=s)
-            for w, m, s in zip(self.weights, self.means, self.sigmas)
-        )
 
     @property
     def n_components(self) -> int:
@@ -169,6 +144,20 @@ class ComponentSelection:
     bic_best_m: int
     criteria_agree: bool
 
+    @classmethod
+    def from_reports(cls, reports: Sequence[FitReport]) -> "ComponentSelection":
+        """Compare candidate fits; best_m minimizes BIC, and criteria_agree
+        says whether AIC prefers the same count."""
+        aic_best = min(reports, key=lambda r: r.aic).n_components
+        bic_best = min(reports, key=lambda r: r.bic).n_components
+        return cls(
+            best_m=bic_best,
+            reports=tuple(reports),
+            aic_best_m=aic_best,
+            bic_best_m=bic_best,
+            criteria_agree=aic_best == bic_best,
+        )
+
 
 def gmm_parameter_count(n_components: int) -> int:
     """Free parameters of a univariate mixture: per component a weight, mean,
@@ -182,16 +171,6 @@ def aic(log_likelihood: float, n_params: int) -> float:
 
 def bic(log_likelihood: float, n_params: int, n_observations: int) -> float:
     return n_params * float(np.log(n_observations)) - 2.0 * log_likelihood
-
-
-def information_criteria(model: GaussianMixture, data) -> tuple[float, float]:
-    """(AIC, BIC) of a fitted mixture on its data; lower is better."""
-    x = np.asarray(data, dtype=float).ravel()
-    ll = model.log_likelihood(x)
-    if not np.isfinite(ll):
-        raise ValidationError("non-finite log-likelihood")
-    p = gmm_parameter_count(model.n_components)
-    return aic(ll, p), bic(ll, p, x.size)
 
 
 def _block_init(x_sorted: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,18 +286,8 @@ def select_component_count(
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
-    reports = []
-    for m in range(1, m_max + 1):
-        _, rep = em_fit(data, m, tol=tol, max_iter=max_iter)
-        reports.append(rep)
-    aic_best = min(reports, key=lambda r: r.aic).n_components
-    bic_best = min(reports, key=lambda r: r.bic).n_components
-    return ComponentSelection(
-        best_m=bic_best,
-        reports=tuple(reports),
-        aic_best_m=aic_best,
-        bic_best_m=bic_best,
-        criteria_agree=aic_best == bic_best,
+    return ComponentSelection.from_reports(
+        [em_fit(data, m, tol=tol, max_iter=max_iter)[1] for m in range(1, m_max + 1)]
     )
 
 
@@ -350,15 +319,16 @@ def silverman_bandwidth(data) -> float:
     return 0.9 * spread * x.size ** (-1.0 / 5.0)
 
 
-@dataclass(frozen=True)
+# compared by identity: the sample is an init-only value, not a field
+@dataclass(frozen=True, eq=False)
 class KernelDensityEstimate:
     """Gaussian-kernel density estimate over a fixed sample."""
 
-    data: tuple[float, ...]
+    data: InitVar[Sequence[float]]
     bandwidth: float
 
-    def __post_init__(self) -> None:
-        x = np.asarray(self.data, dtype=float).ravel()
+    def __post_init__(self, data) -> None:
+        x = np.array(data, dtype=float).ravel()
         if x.size == 0:
             raise ValidationError("kernel estimate needs data")
         if not np.all(np.isfinite(x)):
@@ -366,7 +336,6 @@ class KernelDensityEstimate:
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
         x.setflags(write=False)
-        object.__setattr__(self, "data", tuple(float(v) for v in x))
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "_x", x)
 
@@ -378,7 +347,7 @@ class KernelDensityEstimate:
 
     @property
     def n_points(self) -> int:
-        return len(self.data)
+        return self._x.size
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -62,9 +62,6 @@ class FormalContext:
         """Attributes shared by every object of the mask."""
         return self.incidence[object_mask].all(axis=0)
 
-    def closure_mask(self, attr_mask: np.ndarray) -> np.ndarray:
-        return self.intent_mask(self.extent_mask(attr_mask))
-
     def extent_of(self, attrs: Iterable[str]) -> tuple[str, ...]:
         mask = self.extent_mask(self._attr_mask(attrs))
         return tuple(o for o, m in zip(self.objects, mask) if m)

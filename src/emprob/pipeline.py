@@ -1,28 +1,34 @@
 """End-to-end orchestration: load inputs, fit, score, explain, export.
 
-run_pipeline turns a config into a scored case table plus a fixed set of
-artifacts under the output directory:
+PipelineResult(config) computes each stage the first time something reads
+it and keeps it, so a caller pays only for the stages it reads; the
+component selection and the chosen mixture share one EM fit per m.
+prepare() reads every stage.  Each artifact group has its own writer, and
+write_artifacts (or run_pipeline) writes all four:
 
-- scores.csv: one row per case with sums, scores, and category
-- fit_report.json: candidate fits, information criteria, chosen model,
-  kernel bandwidth with the conventions behind it, normalization bounds
-- density_samples.csv: fitted curves on an even grid over [0, 1]
-- tree_full.dot / tree_pruned.dot: the explanation tree before and after
-  cost-complexity pruning
-- band_<lo>_<hi>.cxt, lattice_<lo>_<hi>.dot, supports_<lo>_<hi>.csv: one
-  formal context, concept lattice, and support table per probability band
+- write_scores: scores.csv, one row per case with sums, scores, and category
+- write_fit: fit_report.json (candidate fits, information criteria, chosen
+  model, kernel bandwidth with the conventions behind it, normalization
+  bounds) and density_samples.csv (fitted curves on an even grid over [0, 1])
+- write_trees: tree_full.dot / tree_pruned.dot, the explanation tree before
+  and after cost-complexity pruning
+- write_lattices: band_<lo>_<hi>.cxt, lattice_<lo>_<hi>.dot,
+  supports_<lo>_<hi>.csv: one formal context, concept lattice, and support
+  table per probability band
 
 Reruns on identical inputs reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping
 
 from emprob import io as eio
-from emprob.cases import WeightSumTable, enumerate_cases, weight_sum_table
+from emprob.cases import CaseSet, WeightSumTable, enumerate_cases, weight_sum_table
 from emprob.density import (
     ComponentSelection,
     FitReport,
@@ -30,10 +36,10 @@ from emprob.density import (
     KernelDensityEstimate,
     SILVERMAN_CONVENTIONS,
     em_fit,
-    select_component_count,
 )
 from emprob.fca import ConceptLattice, FormalContext, build_band_context, build_lattice
 from emprob.schema import (
+    AnswerWeightVector,
     Questionnaire,
     ValidationError,
     WeightMatrix,
@@ -45,6 +51,7 @@ from emprob.schema import (
     mean_weights,
     merge_questionnaire,
     parse_merge_rule,
+    read_json_mapping,
     validate_weights,
 )
 from emprob.scoring import (
@@ -56,6 +63,10 @@ from emprob.scoring import (
 from emprob.tree import TreeNode, fit_decision_tree, prune_tree
 
 DEFAULT_BANDS = tuple((i / 10, (i + 1) / 10) for i in range(10))
+
+# field annotation -> required type; config values come from outside the
+# program, so each is checked before it is compared
+_FIELD_KINDS = {"int": Integral, "float": Real, "str": str}
 
 
 @dataclass(frozen=True)
@@ -79,12 +90,24 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kind = f.type.removesuffix(" | None")
+            value = getattr(self, f.name)
+            if kind in _FIELD_KINDS and not (value is None and kind != f.type) and (
+                isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[kind])
+            ):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
-        bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
+        try:
+            bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
+        except (TypeError, ValueError):
+            raise ValidationError(f"bands must be [lo, hi] pairs, got {self.bands!r}") from None
         for lo, hi in bands:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValidationError(f"band must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
         object.__setattr__(self, "bands", bands)
+        if not isinstance(self.merge_rules, (list, tuple)):
+            raise ValidationError(f"merge_rules must be a list, got {self.merge_rules!r}")
         object.__setattr__(self, "merge_rules", tuple(self.merge_rules))
         if self.n_components is not None and self.n_components < 1:
             raise ValidationError("n_components must be at least 1 (or null for automatic)")
@@ -106,43 +129,116 @@ class PipelineConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        for key in ("thresholds", "bands", "merge_rules"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(
-                    tuple(v) if isinstance(v, (list, tuple)) else v for v in kwargs[key]
-                )
-        return cls(**kwargs)
+        return cls(**doc)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        import json
-
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        if not isinstance(doc, Mapping):
-            raise ValidationError(f"{path}: config must be a key/value document")
-        return cls.from_mapping(doc)
+    def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
+        """Build a config from a JSON file, with overrides replacing its values."""
+        return cls.from_mapping({**read_json_mapping(path), **overrides})
 
 
-@dataclass(frozen=True)
 class PipelineResult:
-    """Everything the pipeline computed, for in-process reuse."""
+    """The pipeline for one config: each stage is computed the first time it
+    is read, from only the stages it depends on, and then kept."""
 
-    config: PipelineConfig
-    questionnaire: Questionnaire
-    weight_matrix: WeightMatrix
-    sum_table: WeightSumTable
-    selection: ComponentSelection
-    gmm: GaussianMixture
-    gmm_report: FitReport
-    kde: KernelDensityEstimate
-    table: ScoreTable
-    bundle: ModelBundle
-    tree_full: TreeNode
-    tree_pruned: TreeNode
-    band_contexts: tuple[tuple[tuple[float, float], FormalContext], ...]
-    lattices: tuple[tuple[tuple[float, float], ConceptLattice], ...]
+    def __init__(self, config: PipelineConfig) -> None:
+        self.config = config
+        self._mixtures: dict[int, tuple[GaussianMixture, FitReport]] = {}
+
+    @cached_property
+    def _inputs(self) -> tuple[Questionnaire, WeightMatrix]:
+        return load_inputs(self.config)
+
+    @property
+    def questionnaire(self) -> Questionnaire:
+        return self._inputs[0]
+
+    @property
+    def weight_matrix(self) -> WeightMatrix:
+        return self._inputs[1]
+
+    @cached_property
+    def mean_weight_vector(self) -> AnswerWeightVector:
+        return mean_weights(self.weight_matrix)
+
+    @cached_property
+    def case_set(self) -> CaseSet:
+        return enumerate_cases(self.questionnaire)
+
+    @cached_property
+    def sum_table(self) -> WeightSumTable:
+        return weight_sum_table(self.case_set, self.mean_weight_vector)
+
+    def mixture(self, m: int) -> tuple[GaussianMixture, FitReport]:
+        """The m-component EM fit on the normalized sums; each m is fitted
+        at most once, so the selection and the chosen mixture share fits."""
+        if m not in self._mixtures:
+            cfg = self.config
+            self._mixtures[m] = em_fit(self.sum_table.normalized, m, tol=cfg.em_tol,
+                                       max_iter=cfg.em_max_iter)
+        return self._mixtures[m]
+
+    @cached_property
+    def selection(self) -> ComponentSelection:
+        return ComponentSelection.from_reports(
+            [self.mixture(m)[1] for m in range(1, self.config.m_max + 1)]
+        )
+
+    @cached_property
+    def gmm_report(self) -> FitReport:
+        """The fit of the config's mixture size, or of the selection's best
+        when the config leaves it unset."""
+        m = self.config.n_components
+        return self.mixture(self.selection.best_m if m is None else m)[1]
+
+    @property
+    def gmm(self) -> GaussianMixture:
+        return self.mixture(self.gmm_report.n_components)[0]
+
+    @cached_property
+    def kde(self) -> KernelDensityEstimate:
+        return KernelDensityEstimate.from_data(self.sum_table.normalized)
+
+    @cached_property
+    def table(self) -> ScoreTable:
+        return elicit_probabilities(
+            self.sum_table, self.gmm, self.kde, thresholds=self.config.thresholds
+        )
+
+    @cached_property
+    def bundle(self) -> ModelBundle:
+        return ModelBundle(
+            questionnaire=self.questionnaire,
+            mean_weight_vector=self.mean_weight_vector,
+            raw_min=self.sum_table.raw_min,
+            raw_max=self.sum_table.raw_max,
+            gmm=self.gmm,
+            kde=self.kde,
+        )
+
+    @cached_property
+    def tree_full(self) -> TreeNode:
+        return fit_decision_tree(
+            self.case_set,
+            self.table.category,
+            max_depth=self.config.tree_max_depth,
+            min_samples_leaf=self.config.min_samples_leaf,
+        )
+
+    @cached_property
+    def tree_pruned(self) -> TreeNode:
+        return prune_tree(self.tree_full, self.config.prune_alpha)
+
+    @cached_property
+    def band_contexts(self) -> tuple[tuple[tuple[float, float], FormalContext], ...]:
+        return tuple(
+            (band, build_band_context(self.table, band, self.config.band_approach))
+            for band in self.config.bands
+        )
+
+    @cached_property
+    def lattices(self) -> tuple[tuple[tuple[float, float], ConceptLattice], ...]:
+        return tuple((band, build_lattice(ctx)) for band, ctx in self.band_contexts)
 
 
 def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
@@ -171,60 +267,11 @@ def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
 
 
 def prepare(cfg: PipelineConfig) -> PipelineResult:
-    """Run every pipeline stage in memory, writing nothing."""
-    questionnaire, weight_matrix = load_inputs(cfg)
-    mw = mean_weights(weight_matrix)
-    case_set = enumerate_cases(questionnaire)
-    sum_table = weight_sum_table(case_set, mw)
-    x = sum_table.normalized
-
-    selection = select_component_count(
-        x, m_max=cfg.m_max, tol=cfg.em_tol, max_iter=cfg.em_max_iter
-    )
-    m = selection.best_m if cfg.n_components is None else cfg.n_components
-    gmm, gmm_report = em_fit(x, m, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
-    kde = KernelDensityEstimate.from_data(x)
-
-    table = elicit_probabilities(sum_table, gmm, kde, thresholds=cfg.thresholds)
-    bundle = ModelBundle(
-        questionnaire=questionnaire,
-        mean_weight_vector=mw,
-        raw_min=sum_table.raw_min,
-        raw_max=sum_table.raw_max,
-        gmm=gmm,
-        kde=kde,
-    )
-    tree_full = fit_decision_tree(
-        case_set,
-        table.category,
-        max_depth=cfg.tree_max_depth,
-        min_samples_leaf=cfg.min_samples_leaf,
-    )
-    tree_pruned = prune_tree(tree_full, cfg.prune_alpha)
-
-    band_contexts = []
-    lattices = []
-    for band in cfg.bands:
-        ctx = build_band_context(table, band, cfg.band_approach)
-        band_contexts.append((band, ctx))
-        lattices.append((band, build_lattice(ctx)))
-
-    return PipelineResult(
-        config=cfg,
-        questionnaire=questionnaire,
-        weight_matrix=weight_matrix,
-        sum_table=sum_table,
-        selection=selection,
-        gmm=gmm,
-        gmm_report=gmm_report,
-        kde=kde,
-        table=table,
-        bundle=bundle,
-        tree_full=tree_full,
-        tree_pruned=tree_pruned,
-        band_contexts=tuple(band_contexts),
-        lattices=tuple(lattices),
-    )
+    """Compute every pipeline stage in memory, writing nothing."""
+    result = PipelineResult(cfg)
+    for stage in ("selection", "gmm_report", "bundle", "table", "tree_pruned", "lattices"):
+        getattr(result, stage)
+    return result
 
 
 def _report_entry(rep: FitReport) -> dict:
@@ -273,44 +320,57 @@ def band_tag(band: tuple[float, float]) -> str:
     return f"{band[0]:g}_{band[1]:g}"
 
 
-def write_artifacts(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
-    """Write every artifact; returns the paths written."""
+def _output_dir(result: PipelineResult, output_dir: str | Path | None) -> Path:
     out = Path(result.config.output_dir if output_dir is None else output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    return out
 
-    path = out / "scores.csv"
+
+def write_scores(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
+    """Write scores.csv; returns the paths written."""
+    path = _output_dir(result, output_dir) / "scores.csv"
     eio.export_scores_csv(result.table, path)
-    written.append(path)
+    return [path]
 
-    path = out / "fit_report.json"
-    eio.write_json(fit_report_document(result), path)
-    written.append(path)
 
-    path = out / "density_samples.csv"
-    eio.export_density_samples_csv(
-        result.gmm, result.kde, path, result.config.density_samples
-    )
-    written.append(path)
+def write_fit(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
+    """Write fit_report.json and density_samples.csv."""
+    out = _output_dir(result, output_dir)
+    report, samples = out / "fit_report.json", out / "density_samples.csv"
+    eio.write_json(fit_report_document(result), report)
+    eio.export_density_samples_csv(result.gmm, result.kde, samples, result.config.density_samples)
+    return [report, samples]
 
-    for name, tree in (("tree_full.dot", result.tree_full), ("tree_pruned.dot", result.tree_pruned)):
-        path = out / name
+
+def write_trees(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
+    """Write tree_full.dot and tree_pruned.dot."""
+    out = _output_dir(result, output_dir)
+    paths = [out / "tree_full.dot", out / "tree_pruned.dot"]
+    for path, tree in zip(paths, (result.tree_full, result.tree_pruned)):
         eio.export_dot(tree, path)
-        written.append(path)
+    return paths
 
-    lattice_by_band = dict(result.lattices)
-    for band, ctx in result.band_contexts:
+
+def write_lattices(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
+    """Write each band's context (CXT), lattice (DOT) and supports (CSV)."""
+    out = _output_dir(result, output_dir)
+    paths = []
+    for (band, ctx), (_, lattice) in zip(result.band_contexts, result.lattices):
         tag = band_tag(band)
-        path = out / f"band_{tag}.cxt"
-        eio.export_cxt(ctx, path)
-        written.append(path)
-        path = out / f"lattice_{tag}.dot"
-        eio.export_dot(lattice_by_band[band], path)
-        written.append(path)
-        path = out / f"supports_{tag}.csv"
-        eio.export_supports_csv(ctx, path)
-        written.append(path)
-    return written
+        paths += [out / f"band_{tag}.cxt", out / f"lattice_{tag}.dot", out / f"supports_{tag}.csv"]
+        eio.export_cxt(ctx, paths[-3])
+        eio.export_dot(lattice, paths[-2])
+        eio.export_supports_csv(ctx, paths[-1])
+    return paths
+
+
+def write_artifacts(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
+    """Write every artifact group; returns the paths written."""
+    return [
+        path
+        for write in (write_scores, write_fit, write_trees, write_lattices)
+        for path in write(result, output_dir)
+    ]
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:

@@ -150,12 +150,6 @@ class Questionnaire:
     def answer_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.answers)
 
-    def question(self, question_id: str) -> Question:
-        for q in self.questions:
-            if q.id == question_id:
-                return q
-        raise KeyError(question_id)
-
     def question_of_answer(self, answer_id: str) -> Question:
         for q in self.questions:
             if any(a.id == answer_id for a in q.answers):
@@ -191,11 +185,6 @@ class WeightMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def weight(self, doctor_id: str, answer_id: str) -> float:
-        return float(
-            self.values[self.doctors.index(doctor_id), self.answer_ids.index(answer_id)]
-        )
-
 
 @dataclass(frozen=True)
 class AnswerWeightVector:
@@ -221,7 +210,32 @@ class AnswerWeightVector:
         return {a: float(v) for a, v in zip(self.answer_ids, self.values)}
 
 
+def _mapping(raw, where: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise ValidationError(f"{where} must be a key/value document, got {raw!r}")
+    return raw
+
+
+def read_json_mapping(path: str | Path) -> Mapping:
+    """The key/value document in a JSON file; a file that cannot be opened
+    raises OSError, a malformed one ValidationError."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # invalid JSON or invalid UTF-8
+            raise ValidationError(f"{path}: not valid JSON: {e}") from None
+    return _mapping(doc, str(path))
+
+
+def _list(doc: Mapping, key: str, where: str = "questionnaire") -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where}: {key!r} must be a list, got {value!r}")
+    return list(value)
+
+
 def _parse_answer(raw: Mapping, question_id: str) -> AnswerOption:
+    raw = _mapping(raw, f"answer in question {question_id!r}")
     try:
         return AnswerOption(id=str(raw["id"]), label=str(raw["label"]), question_id=question_id)
     except KeyError as e:
@@ -229,20 +243,17 @@ def _parse_answer(raw: Mapping, question_id: str) -> AnswerOption:
 
 
 def _parse_merge_rule(raw: Mapping, questions: Iterable[Question]) -> MergeRule:
-    try:
-        sources = tuple(str(s) for s in raw["source_answer_ids"])
-        merged_raw = raw["merged_answer"]
-    except KeyError as e:
-        raise ValidationError(f"merge rule missing field {e}") from None
+    raw = _mapping(raw, "merge rule")
+    for key in ("source_answer_ids", "merged_answer"):
+        if key not in raw:
+            raise ValidationError(f"merge rule missing field {key!r}")
+    sources = tuple(str(s) for s in _list(raw, "source_answer_ids", "merge rule"))
     owners = {q.id for q in questions for a in q.answers if a.id in sources}
     if len(owners) != 1:
         raise ValidationError(
             f"merge rule sources {sources} must all belong to one existing question"
         )
-    question_id = owners.pop()
-    merged = AnswerOption(
-        id=str(merged_raw["id"]), label=str(merged_raw["label"]), question_id=question_id
-    )
+    merged = _parse_answer(raw["merged_answer"], owners.pop())
     return MergeRule(source_answer_ids=sources, merged_answer=merged)
 
 
@@ -259,15 +270,12 @@ def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
     ``mode``, ``answers``, optional ``none_answer_id``) and an optional
     ``merge_rules`` list.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    else:
-        doc = source
+    doc = read_json_mapping(source) if isinstance(source, (str, Path)) else source
     if not isinstance(doc, Mapping) or "questions" not in doc:
         raise ValidationError("questionnaire config must contain a 'questions' list")
     questions = []
-    for raw_q in doc["questions"]:
+    for raw_q in _list(doc, "questions"):
+        raw_q = _mapping(raw_q, "question")
         try:
             mode = QuestionMode(str(raw_q.get("mode", "exclusive")))
         except ValueError:
@@ -277,7 +285,7 @@ def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
         qid = str(raw_q.get("id", ""))
         if not qid:
             raise ValidationError("question without id")
-        answers = tuple(_parse_answer(a, qid) for a in raw_q.get("answers", ()))
+        answers = tuple(_parse_answer(a, qid) for a in _list(raw_q, "answers", f"question {qid}"))
         questions.append(
             Question(
                 id=qid,
@@ -287,7 +295,7 @@ def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
                 none_answer_id=raw_q.get("none_answer_id"),
             )
         )
-    rules = tuple(_parse_merge_rule(r, questions) for r in doc.get("merge_rules", ()))
+    rules = tuple(_parse_merge_rule(r, questions) for r in _list(doc, "merge_rules"))
     return Questionnaire(questions=tuple(questions), merge_rules=rules)
 
 

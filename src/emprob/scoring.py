@@ -135,13 +135,6 @@ class ScoreTable:
             raise ValidationError(f"approach must be 1, 2, or 3, got {approach!r}")
         return self.scores(APPROACHES[approach])
 
-    def categories(
-        self, name: str, thresholds: tuple[float, float] | None = None
-    ) -> np.ndarray:
-        return categorize_array(
-            self.scores(name), self.thresholds if thresholds is None else thresholds
-        )
-
 
 @dataclass(frozen=True)
 class ModelBundle:

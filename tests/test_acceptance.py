@@ -35,7 +35,7 @@ from emprob import (
     select_component_count,
     silverman_bandwidth,
 )
-from conftest import REFERENCE_GMM, unmerged_questionnaire
+from reference_data import REFERENCE_GMM, unmerged_questionnaire
 from test_fca import brute_force_concepts, random_context
 
 # expert-average weight per answer, two decimals, in shipped answer order

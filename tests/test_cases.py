@@ -16,7 +16,7 @@ from emprob import (
     weight_sum_table,
     weight_sums,
 )
-from conftest import unmerged_questionnaire
+from reference_data import unmerged_questionnaire
 
 RAW_MIN = -2.5999999999999996
 RAW_MAX = 12.566666666666666

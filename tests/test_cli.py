@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import emprob
+from emprob import pipeline, read_scores_csv
 from emprob.cli import build_parser, config_from_args, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -98,6 +99,68 @@ def test_score_patient(tmp_path, capsys):
     assert doc["category"] in ("LOW", "MEDIUM", "HIGH")
 
 
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts the pipeline's EM fits (by component count), tree growths and
+    lattice builds."""
+    calls = {"em_fit": [], "fit_decision_tree": [], "build_lattice": []}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            calls[_name].append(args[1] if _name == "em_fit" else None)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
+def test_subcommands_write_report_in_parts(tmp_path, capsys, stage_calls):
+    """fit, score, tree and lattice each compute only the stages behind
+    their own files, and together write report's files byte for byte."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bands": [[0.0, 0.5], [0.5, 1.0]]}))
+    needs = {  # subcommand -> (EM fits, tree growths, lattice builds)
+        "fit": (1, 0, 0), "score": (1, 0, 0), "tree": (1, 1, 0), "lattice": (1, 0, 2),
+    }
+    parts = {}
+    for command, counts in needs.items():
+        out = tmp_path / command
+        assert main(["--config", str(config), *cheap(out, command)]) == 0
+        assert tuple(len(c) for c in stage_calls.values()) == counts, command
+        for c in stage_calls.values():
+            c.clear()
+        for p in out.iterdir():
+            assert p.name not in parts, p.name
+            parts[p.name] = p.read_bytes()
+    assert main(["--config", str(config), *cheap(tmp_path / "report", "report")]) == 0
+    report = {p.name: p.read_bytes() for p in (tmp_path / "report").iterdir()}
+    assert sorted(parts) == sorted(report)
+    for name, data in report.items():
+        assert parts[name] == data, name
+
+
+def test_score_patient_fits_one_mixture(tmp_path, capsys, stage_calls):
+    assert main(["--output-dir", str(tmp_path), "score"]) == 0
+    batch = read_scores_csv(tmp_path / "scores.csv")
+    capsys.readouterr()
+    for c in stage_calls.values():
+        c.clear()
+    answers = "a_2_q1,a_3_q1,a_2_q2,a_1_q3,a_2_q4,a_3_q5,a_1_q6"
+    assert main(["score-patient", answers]) == 0
+    assert stage_calls == {"em_fit": [2], "fit_decision_tree": [], "build_lattice": []}
+    doc = json.loads(capsys.readouterr().out)
+    chosen = set(answers.split(","))
+    row = [i for i in range(len(batch.case_ids))
+           if {a for a, v in zip(batch.answer_ids, batch.matrix[i]) if v} == chosen]
+    assert len(row) == 1
+    i = row[0]
+    assert doc["raw_sum"] == batch.raw_sums[i]
+    assert doc["normalized_sum"] == batch.normalized[i]
+    assert doc["p_gmm_cdf"] == batch.score_gmm_cdf[i]
+    assert doc["p_kde_cdf"] == batch.score_kde_cdf[i]
+    assert doc["p_posterior"] == batch.score_posterior[i]
+    assert doc["category"] == ("LOW", "MEDIUM", "HIGH")[batch.category[i]]
+
+
 def test_score_patient_rejects_empty_ids(capsys):
     assert main(["score-patient", " , "]) == 2
     assert "error:" in capsys.readouterr().err
@@ -129,6 +192,33 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     config.write_text(json.dumps({"bogus": 1}))
     assert main(["--config", str(config), "enumerate"]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+SHIPPED_QUESTIONNAIRE = json.loads(
+    (Path(emprob.__file__).parent / "data" / "questionnaire.json").read_text()
+)
+MERGE_WITHOUT_ID = {"source_answer_ids": ["a_3_q1", "a_4_q1"], "merged_answer": {"label": "x"}}
+MALFORMED_INPUTS = {
+    # probe -> (flag, file content)
+    "merged-answer-without-id": (
+        "--questionnaire", {**SHIPPED_QUESTIONNAIRE, "merge_rules": [MERGE_WITHOUT_ID]}
+    ),
+    "question-not-a-mapping": ("--questionnaire", {"questions": ["q1"]}),
+    "questions-not-a-list": ("--questionnaire", {"questions": 5}),
+    "thresholds-not-a-pair": ("--config", {"thresholds": 5}),
+    "band-with-three-values": ("--config", {"bands": [[0.0, 0.5, 1.0]]}),
+    "n-components-not-an-integer": ("--config", {"n_components": "two"}),
+    "m-max-not-an-integer": ("--config", {"m_max": "4"}),
+    "config-not-json": ("--config", "{not json"),
+}
+
+
+@pytest.mark.parametrize("flag, content", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_input_exit_2(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main([flag, str(path), "enumerate"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_weights_exit_1(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from emprob import (
-    GaussianComponent,
     GaussianMixture,
     KernelDensityEstimate,
     ValidationError,
@@ -13,11 +12,10 @@ from emprob import (
     bic,
     em_fit,
     gmm_parameter_count,
-    information_criteria,
     select_component_count,
     silverman_bandwidth,
 )
-from conftest import REFERENCE_GMM
+from reference_data import REFERENCE_GMM
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -60,17 +58,6 @@ def test_mixture_construction_validation():
         GaussianMixture(weights=(1.0,), means=(0.0,), sigmas=(0.0,))
     with pytest.raises(ValidationError):
         GaussianMixture(weights=(0.5, 0.5), means=(1.0, 0.0), sigmas=(1.0, 1.0))
-
-
-def test_from_components_sorts_by_mean():
-    model = GaussianMixture.from_components(
-        [
-            GaussianComponent(weight=0.3, mean=2.0, sigma=0.5),
-            GaussianComponent(weight=0.7, mean=-1.0, sigma=1.0),
-        ]
-    )
-    assert model.means == (-1.0, 2.0)
-    assert model.weights == (0.7, 0.3)
 
 
 def test_pdf_standard_normal_peak():
@@ -207,18 +194,6 @@ def test_parameter_count_and_criteria_arithmetic():
     assert aic(ll, 2 * p) - aic(ll, p) == pytest.approx(2 * p)
     assert aic(ll, p) == pytest.approx(2 * p - 2 * ll)
     assert bic(ll, p, 100) == pytest.approx(p * math.log(100) - 2 * ll)
-
-
-def test_information_criteria_matches_report(sum_table, fitted_gmm):
-    model, report = fitted_gmm
-    a, b = information_criteria(model, sum_table.normalized)
-    assert a == pytest.approx(report.aic, rel=1e-12)
-    assert b == pytest.approx(report.bic, rel=1e-12)
-
-
-def test_information_criteria_rejects_non_finite():
-    with pytest.raises(ValidationError):
-        information_criteria(STANDARD_NORMAL, np.array([np.nan, 0.0]))
 
 
 def test_select_component_count_m_max_one():

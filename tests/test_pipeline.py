@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from emprob import pipeline
 from emprob import (
     DEFAULT_BANDS,
     PipelineConfig,
@@ -12,6 +13,7 @@ from emprob import (
     ValidationError,
     band_tag,
     categorize_array,
+    em_fit,
     fit_report_document,
     load_inputs,
     node_count,
@@ -19,7 +21,7 @@ from emprob import (
     run_pipeline,
     write_artifacts,
 )
-from conftest import unmerged_questionnaire_doc, unmerged_weight_matrix
+from reference_data import unmerged_questionnaire_doc, unmerged_weight_matrix
 from test_cases import RAW_MAX, RAW_MIN
 
 CHEAP = dict(n_components=1, m_max=1, density_samples=11,
@@ -27,8 +29,24 @@ CHEAP = dict(n_components=1, m_max=1, density_samples=11,
 
 
 @pytest.fixture(scope="module")
-def result():
-    return prepare(PipelineConfig())
+def prepared():
+    """The default prepare(), with the component count of every EM fit it
+    ran."""
+    fitted = []
+
+    def counting_em_fit(data, m, **kwargs):
+        fitted.append(m)
+        return em_fit(data, m, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "em_fit", counting_em_fit)
+        result = prepare(PipelineConfig())
+    return result, fitted
+
+
+@pytest.fixture(scope="module")
+def result(prepared):
+    return prepared[0]
 
 
 def expected_artifact_names(cfg):
@@ -165,6 +183,25 @@ def test_prepare_default_result(result):
     assert node_count(result.tree_pruned) < node_count(result.tree_full)
     assert tuple(band for band, _ in result.band_contexts) == DEFAULT_BANDS
     assert tuple(band for band, _ in result.lattices) == DEFAULT_BANDS
+
+
+def test_prepare_fits_each_mixture_once(prepared):
+    # the selection fits m = 1..4 and the chosen m=2 mixture reuses its fit
+    result, fitted = prepared
+    assert sorted(fitted) == [1, 2, 3, 4]
+    assert result.gmm_report is result.selection.reports[1]
+
+
+def test_pipeline_result_is_lazy(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("stage computed without being read")
+
+    for name in ("load_inputs", "em_fit", "fit_decision_tree", "build_lattice"):
+        monkeypatch.setattr(pipeline, name, never)
+    res = pipeline.PipelineResult(PipelineConfig())
+    assert res.config == PipelineConfig()
+    with pytest.raises(AssertionError, match="without being read"):
+        res.questionnaire
 
 
 def test_prepare_band_counts_partition_cases(result):

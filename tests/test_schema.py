@@ -15,7 +15,7 @@ from emprob import (
     parse_merge_rule,
     validate_weights,
 )
-from conftest import unmerged_questionnaire, unmerged_weight_matrix
+from reference_data import unmerged_questionnaire, unmerged_weight_matrix
 
 
 def test_default_questionnaire_shape():

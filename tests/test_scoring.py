@@ -15,7 +15,7 @@ from emprob import (
     score_patient,
     validate_thresholds,
 )
-from conftest import REFERENCE_GMM
+from reference_data import REFERENCE_GMM
 from test_cases import MAX_CASE, MIN_CASE
 
 
