@@ -227,28 +227,29 @@ def em_fit(
     x_sorted = np.sort(x)
     w, mu, sg = _block_init(x_sorted, m)
 
-    def log_components() -> np.ndarray:
+    def log_components() -> tuple[np.ndarray, np.ndarray]:
+        """Per-point component log-densities and their log-sum-exp."""
         z = (x_sorted[:, None] - mu) / sg
-        return np.log(w) - np.log(sg) - 0.5 * _LOG_2PI - 0.5 * z * z
+        logc = np.log(w) - np.log(sg) - 0.5 * _LOG_2PI - 0.5 * z * z
+        mx = logc.max(axis=1, keepdims=True)
+        return logc, mx[:, 0] + np.log(np.exp(logc - mx).sum(axis=1))
 
-    logc = log_components()
-    mx = logc.max(axis=1, keepdims=True)
-    ll = float((mx[:, 0] + np.log(np.exp(logc - mx).sum(axis=1))).sum())
+    logc, lognorm = log_components()
+    ll = float(lognorm.sum())
     trace = [ll]
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         # M-step from the responsibilities of the current parameters
-        resp = np.exp(logc - (mx[:, 0] + np.log(np.exp(logc - mx).sum(axis=1)))[:, None])
+        resp = np.exp(logc - lognorm[:, None])
         nk = resp.sum(axis=0)
         mu = (resp * x_sorted[:, None]).sum(axis=0) / nk
         sg = np.maximum(
             np.sqrt((resp * (x_sorted[:, None] - mu) ** 2).sum(axis=0) / nk), _SIGMA_FLOOR
         )
         w = nk / x_sorted.size
-        logc = log_components()
-        mx = logc.max(axis=1, keepdims=True)
-        new_ll = float((mx[:, 0] + np.log(np.exp(logc - mx).sum(axis=1))).sum())
+        logc, lognorm = log_components()
+        new_ll = float(lognorm.sum())
         trace.append(new_ll)
         iterations = it
         if abs(new_ll - ll) <= tol * abs(new_ll):

@@ -250,13 +250,13 @@ def export_density_samples_csv(gmm, kde, path: str | Path,
 
 def export_supports_csv(context: FormalContext, path: str | Path) -> None:
     """Support counts of every single attribute and every attribute pair."""
-    lines = ["attributes,support"]
+    inc = context.incidence.astype(np.int64)
+    counts = inc.T @ inc  # counts[i, j]: objects having attributes i and j
     atts = context.attributes
-    for a in atts:
-        lines.append(f"{a},{context.support([a])}")
+    lines = ["attributes,support"] + [f"{a},{counts[i, i]}" for i, a in enumerate(atts)]
     for i in range(len(atts)):
         for j in range(i + 1, len(atts)):
-            lines.append(f"{atts[i]};{atts[j]},{context.support([atts[i], atts[j]])}")
+            lines.append(f"{atts[i]};{atts[j]},{counts[i, j]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

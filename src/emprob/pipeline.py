@@ -43,13 +43,12 @@ from emprob.schema import (
     Questionnaire,
     ValidationError,
     WeightMatrix,
-    apply_merge,
     default_questionnaire,
     default_weight_matrix,
     load_questionnaire,
     load_weight_matrix,
     mean_weights,
-    merge_questionnaire,
+    merge_answers,
     parse_merge_rule,
     read_json_mapping,
     validate_weights,
@@ -242,27 +241,26 @@ class PipelineResult:
 
 
 def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
-    """Load the questionnaire and weight matrix and apply all merge rules
-    (those embedded in the questionnaire document first, then the config's),
-    returning a consistent merged pair."""
+    """Load the questionnaire and weight matrix, validate the weights against
+    the questionnaire as read, and apply all merge rules (those embedded in
+    the questionnaire document first, then the config's), returning a
+    consistent merged pair."""
     questionnaire = (
         default_questionnaire()
         if cfg.questionnaire_path is None
         else load_questionnaire(cfg.questionnaire_path)
     )
-    weight_matrix = (
+    weight_matrix = validate_weights(
         default_weight_matrix()
         if cfg.weights_path is None
-        else load_weight_matrix(cfg.weights_path)
+        else load_weight_matrix(cfg.weights_path),
+        questionnaire,
     )
     for rule in questionnaire.merge_rules:
-        weight_matrix = apply_merge(weight_matrix, rule, questionnaire)
-        questionnaire = merge_questionnaire(questionnaire, rule)
+        questionnaire, weight_matrix = merge_answers(questionnaire, weight_matrix, rule)
     for raw in cfg.merge_rules:
         rule = parse_merge_rule(raw, questionnaire)
-        weight_matrix = apply_merge(weight_matrix, rule, questionnaire)
-        questionnaire = merge_questionnaire(questionnaire, rule)
-    validate_weights(weight_matrix, questionnaire)
+        questionnaire, weight_matrix = merge_answers(questionnaire, weight_matrix, rule)
     return questionnaire, weight_matrix
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -242,25 +242,29 @@ def _parse_answer(raw: Mapping, question_id: str) -> AnswerOption:
         raise ValidationError(f"answer in question {question_id!r} missing field {e}") from None
 
 
-def _parse_merge_rule(raw: Mapping, questions: Iterable[Question]) -> MergeRule:
-    raw = _mapping(raw, "merge rule")
-    for key in ("source_answer_ids", "merged_answer"):
-        if key not in raw:
-            raise ValidationError(f"merge rule missing field {key!r}")
-    sources = tuple(str(s) for s in _list(raw, "source_answer_ids", "merge rule"))
-    owners = {q.id for q in questions for a in q.answers if a.id in sources}
-    if len(owners) != 1:
+def _source_question(questionnaire: Questionnaire, sources: tuple[str, ...]) -> Question:
+    """The one question of ``questionnaire`` that owns every merge source."""
+    owners = {q.id: q for q in questionnaire.questions for a in q.answers if a.id in sources}
+    if len(owners) != 1 or not set(sources) <= set(questionnaire.answer_ids):
         raise ValidationError(
             f"merge rule sources {sources} must all belong to one existing question"
         )
-    merged = _parse_answer(raw["merged_answer"], owners.pop())
-    return MergeRule(source_answer_ids=sources, merged_answer=merged)
+    return owners.popitem()[1]
 
 
 def parse_merge_rule(doc: Mapping, questionnaire: Questionnaire) -> MergeRule:
     """Build a MergeRule from its config mapping, resolved against a
-    questionnaire (sources must all belong to one of its questions)."""
-    return _parse_merge_rule(doc, questionnaire.questions)
+    questionnaire (the sources it has must all belong to one question)."""
+    doc = _mapping(doc, "merge rule")
+    for key in ("source_answer_ids", "merged_answer"):
+        if key not in doc:
+            raise ValidationError(f"merge rule missing field {key!r}")
+    sources = tuple(str(s) for s in _list(doc, "source_answer_ids", "merge rule"))
+    # a source may be the merged answer of an earlier rule; merge_answers
+    # checks every source when the rule is applied
+    known = set(questionnaire.answer_ids)
+    question = _source_question(questionnaire, tuple(s for s in sources if s in known))
+    return MergeRule(sources, _parse_answer(doc["merged_answer"], question.id))
 
 
 def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
@@ -295,8 +299,9 @@ def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
                 none_answer_id=raw_q.get("none_answer_id"),
             )
         )
-    rules = tuple(_parse_merge_rule(r, questions) for r in _list(doc, "merge_rules"))
-    return Questionnaire(questions=tuple(questions), merge_rules=rules)
+    questionnaire = Questionnaire(questions=tuple(questions))
+    rules = tuple(parse_merge_rule(r, questionnaire) for r in _list(doc, "merge_rules"))
+    return Questionnaire(questions=questionnaire.questions, merge_rules=rules)
 
 
 def load_weight_matrix(source: str | Path) -> WeightMatrix:
@@ -306,7 +311,10 @@ def load_weight_matrix(source: str | Path) -> WeightMatrix:
     decimal-point floats.
     """
     with open(source, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
+        try:
+            rows = list(csv.reader(f))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ValidationError(f"{source}: not a UTF-8 CSV file: {e}") from None
     if not rows:
         raise ValidationError(f"{source}: empty weight matrix file")
     header = rows[0]
@@ -331,8 +339,9 @@ def load_weight_matrix(source: str | Path) -> WeightMatrix:
 
 
 def validate_weights(wm: WeightMatrix, questionnaire: Questionnaire) -> WeightMatrix:
-    """Return ``wm`` unchanged iff it is complete for the questionnaire and
-    every weight lies in [-1, 3]."""
+    """Return ``wm`` with its columns in the questionnaire's answer order iff
+    it has exactly the questionnaire's answers and every weight lies in
+    [-1, 3]."""
     expected = set(questionnaire.answer_ids)
     present = set(wm.answer_ids)
     missing = expected - present
@@ -355,103 +364,50 @@ def validate_weights(wm: WeightMatrix, questionnaire: Questionnaire) -> WeightMa
             f"weight {wm.values[bad[0], bad[1]]} for doctor {wm.doctors[bad[0]]!r}, "
             f"answer {wm.answer_ids[bad[1]]!r} outside [{WEIGHT_MIN}, {WEIGHT_MAX}]"
         )
-    return wm
+    if wm.answer_ids == questionnaire.answer_ids:
+        return wm
+    order = [wm.answer_ids.index(a) for a in questionnaire.answer_ids]
+    return WeightMatrix(wm.doctors, questionnaire.answer_ids, wm.values[:, order])
 
 
-def apply_merge(
-    wm: WeightMatrix, rule: MergeRule, questionnaire: Questionnaire | None = None
-) -> WeightMatrix:
-    """Drop the rule's source answers and add the merged answer, whose weight
-    per doctor is the mean of that doctor's source weights.
+def merge_answers(
+    questionnaire: Questionnaire, weights: WeightMatrix, rule: MergeRule
+) -> tuple[Questionnaire, WeightMatrix]:
+    """Apply a merge rule to a questionnaire and its validated weights.
 
-    When a questionnaire is given, the sources are additionally checked to
-    belong to a single question.
+    The rule's source answers, all of one question, are replaced by the
+    merged answer at the first source's position; each doctor's weight for
+    it is the mean of that doctor's source weights.  The weights come back in
+    the merged questionnaire's answer order.
     """
-    for aid in rule.source_answer_ids:
-        if aid not in wm.answer_ids:
-            raise ValidationError(f"merge source {aid!r} not in weight matrix")
-    if questionnaire is not None:
-        owners = set()
-        for aid in rule.source_answer_ids:
-            try:
-                owners.add(questionnaire.question_of_answer(aid).id)
-            except KeyError:
-                raise ValidationError(f"merge source {aid!r} not in questionnaire") from None
-        if len(owners) != 1:
-            raise ValidationError(
-                f"merge sources span multiple questions: {sorted(owners)}"
-            )
-    src_idx = [wm.answer_ids.index(a) for a in rule.source_answer_ids]
-    keep_idx = [i for i in range(len(wm.answer_ids)) if i not in src_idx]
-    merged_col = wm.values[:, src_idx].mean(axis=1)
-
-    remaining = [wm.answer_ids[i] for i in keep_idx]
-    if rule.merged_answer.id in remaining:
+    if weights.answer_ids != questionnaire.answer_ids:
+        raise ValidationError("weight matrix answers differ from the questionnaire's")
+    sources, merged = rule.source_answer_ids, rule.merged_answer
+    question = _source_question(questionnaire, sources)
+    if question.none_answer_id in sources:
+        raise ValidationError("cannot merge away the none-answer of a question")
+    if merged.id in set(questionnaire.answer_ids) - set(sources):
+        raise ValidationError(f"merged answer id {merged.id!r} collides with an existing answer")
+    if merged.question_id != question.id:
         raise ValidationError(
-            f"merged answer id {rule.merged_answer.id!r} collides with an existing answer"
+            f"merged answer {merged.id!r} assigned to question "
+            f"{merged.question_id!r}, sources belong to {question.id!r}"
         )
-    insert_at = min(src_idx)
-    # merged column takes the position of the first source answer
-    new_ids: list[str] = []
-    new_cols: list[np.ndarray] = []
-    placed = False
-    for i in range(len(wm.answer_ids)):
-        if i == insert_at:
-            new_ids.append(rule.merged_answer.id)
-            new_cols.append(merged_col)
-            placed = True
-        if i in src_idx:
-            continue
-        new_ids.append(wm.answer_ids[i])
-        new_cols.append(wm.values[:, i])
-    if not placed:  # first source was the last column
-        new_ids.append(rule.merged_answer.id)
-        new_cols.append(merged_col)
-    return WeightMatrix(
-        doctors=wm.doctors, answer_ids=tuple(new_ids), values=np.column_stack(new_cols)
+    first = min(map([a.id for a in question.answers].index, sources))
+    kept = [a for a in question.answers if a.id not in sources]
+    answers = (*kept[:first], merged, *kept[first:])
+    merged_q = Questionnaire(
+        questions=tuple(
+            replace(q, answers=answers) if q is question else q
+            for q in questionnaire.questions
+        ),
+        merge_rules=tuple(r for r in questionnaire.merge_rules if r != rule),
     )
-
-
-def merge_questionnaire(questionnaire: Questionnaire, rule: MergeRule) -> Questionnaire:
-    """Apply a merge rule to the questionnaire itself: the source answers are
-    replaced by the merged answer at the first source position."""
-    owners = set()
-    for aid in rule.source_answer_ids:
-        try:
-            owners.add(questionnaire.question_of_answer(aid).id)
-        except KeyError:
-            raise ValidationError(f"merge source {aid!r} not in questionnaire") from None
-    if len(owners) != 1:
-        raise ValidationError(f"merge sources span multiple questions: {sorted(owners)}")
-    qid = owners.pop()
-    if rule.merged_answer.question_id != qid:
-        raise ValidationError(
-            f"merged answer {rule.merged_answer.id!r} assigned to question "
-            f"{rule.merged_answer.question_id!r}, sources belong to {qid!r}"
-        )
-    new_questions = []
-    for q in questionnaire.questions:
-        if q.id != qid:
-            new_questions.append(q)
-            continue
-        answers: list[AnswerOption] = []
-        placed = False
-        for a in q.answers:
-            if a.id in rule.source_answer_ids:
-                if not placed:
-                    answers.append(rule.merged_answer)
-                    placed = True
-                continue
-            answers.append(a)
-        none_id = q.none_answer_id
-        if none_id in rule.source_answer_ids:
-            raise ValidationError("cannot merge away the none-answer of a question")
-        new_questions.append(
-            Question(id=q.id, label=q.label, mode=q.mode, answers=tuple(answers),
-                     none_answer_id=none_id)
-        )
-    remaining_rules = tuple(r for r in questionnaire.merge_rules if r != rule)
-    return Questionnaire(questions=tuple(new_questions), merge_rules=remaining_rules)
+    source_cols = [questionnaire.answer_ids.index(a) for a in sources]
+    columns = dict(zip(weights.answer_ids, weights.values.T))
+    columns[merged.id] = weights.values[:, source_cols].mean(axis=1)
+    values = np.column_stack([columns[a] for a in merged_q.answer_ids])
+    return merged_q, WeightMatrix(weights.doctors, merged_q.answer_ids, values)
 
 
 def mean_weights(wm: WeightMatrix) -> AnswerWeightVector:

@@ -5,6 +5,8 @@ It lives outside conftest.py because test modules import it by name, and
 the benchmark's tests have a conftest module of their own.
 """
 
+import json
+
 import numpy as np
 
 from emprob import (
@@ -69,6 +71,22 @@ def unmerged_weight_matrix():
         four = (1.0, 0.5, 1.5, 0.0) if d == "d_4" else (v, v, v, v)
         rows.append(list(row[:col]) + list(four) + list(row[col + 1 :]))
     return WeightMatrix(doctors=wm.doctors, answer_ids=ids, values=np.array(rows))
+
+
+def write_unmerged_inputs(directory, columns=None, weights=None):
+    """Write the unmerged questionnaire and a 22-column weight matrix
+    (default: unmerged_weight_matrix()) as input files; ``columns`` reorders
+    the weight columns by position.  Returns the pipeline config keys."""
+    wm = unmerged_weight_matrix() if weights is None else weights
+    order = range(len(wm.answer_ids)) if columns is None else columns
+    lines = ["doctor," + ",".join(wm.answer_ids[j] for j in order)]
+    for d, row in zip(wm.doctors, wm.values):
+        lines.append(d + "," + ",".join(repr(float(row[j])) for j in order))
+    q_path, w_path = directory / "questionnaire.json", directory / "weights.csv"
+    q_path.write_text(json.dumps(unmerged_questionnaire_doc()))
+    w_path.write_text("\n".join(lines) + "\n")
+    return {"questionnaire_path": str(q_path), "weights_path": str(w_path)}
+
 
 # Reference two-component parameters (mixture weights, means, sigmas).
 REFERENCE_GMM = GaussianMixture(

@@ -10,6 +10,7 @@ import pytest
 import emprob
 from emprob import pipeline, read_scores_csv
 from emprob.cli import build_parser, config_from_args, main
+from reference_data import write_unmerged_inputs
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -85,6 +86,20 @@ def test_report(tmp_path, capsys):
         "band_0_1.cxt", "lattice_0_1.dot", "supports_0_1.csv",
     }
     assert out.count("wrote ") == 8
+
+
+@pytest.mark.parametrize("columns", [None, range(21, -1, -1)], ids=["in-order", "reversed"])
+def test_unmerged_inputs_score_like_the_shipped_schema(tmp_path, capsys, columns):
+    """The 22-answer questionnaire with its embedded merge rule and a
+    22-column weight file, in any column order, score the 1,536 cases
+    exactly as the shipped data."""
+    inputs = write_unmerged_inputs(tmp_path, columns)
+    flags = ["--n-components", "1", "--m-max", "1", "--output-dir"]
+    assert main(["--questionnaire", inputs["questionnaire_path"],
+                 "--weights", inputs["weights_path"], *flags, str(tmp_path / "u"), "score"]) == 0
+    assert main([*flags, str(tmp_path / "default"), "score"]) == 0
+    merged = (tmp_path / "u" / "scores.csv").read_bytes()
+    assert merged == (tmp_path / "default" / "scores.csv").read_bytes()
 
 
 def test_score_patient(tmp_path, capsys):
@@ -210,13 +225,17 @@ MALFORMED_INPUTS = {
     "n-components-not-an-integer": ("--config", {"n_components": "two"}),
     "m-max-not-an-integer": ("--config", {"m_max": "4"}),
     "config-not-json": ("--config", "{not json"),
+    "weights-not-utf-8": ("--weights", b"doctor,a\xff\n"),
 }
 
 
 @pytest.mark.parametrize("flag, content", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
 def test_malformed_input_exit_2(tmp_path, capsys, flag, content):
     path = tmp_path / "input.json"
-    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main([flag, str(path), "enumerate"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

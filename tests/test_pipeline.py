@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from emprob import (
     run_pipeline,
     write_artifacts,
 )
-from reference_data import unmerged_questionnaire_doc, unmerged_weight_matrix
+from reference_data import (
+    UNMERGED_SYMPTOM_IDS,
+    unmerged_weight_matrix,
+    write_unmerged_inputs,
+)
 from test_cases import RAW_MAX, RAW_MIN
 
 CHEAP = dict(n_components=1, m_max=1, density_samples=11,
@@ -154,21 +159,52 @@ def test_load_inputs_config_merge_rule():
 
 
 def test_load_inputs_embedded_merge_rule(tmp_path):
-    q_path = tmp_path / "questionnaire.json"
-    q_path.write_text(json.dumps(unmerged_questionnaire_doc()))
-    uwm = unmerged_weight_matrix()
-    lines = ["doctor," + ",".join(uwm.answer_ids)]
-    for d, row in zip(uwm.doctors, uwm.values):
-        lines.append(d + "," + ",".join(repr(float(v)) for v in row))
-    w_path = tmp_path / "weights.csv"
-    w_path.write_text("\n".join(lines) + "\n")
-
-    cfg = PipelineConfig(questionnaire_path=str(q_path), weights_path=str(w_path))
-    questionnaire, wm = load_inputs(cfg)
+    inputs = write_unmerged_inputs(tmp_path)
+    questionnaire, wm = load_inputs(PipelineConfig(**inputs))
     base_q, base_wm = load_inputs(PipelineConfig())
     assert questionnaire.answer_ids == base_q.answer_ids
     assert wm.answer_ids == base_wm.answer_ids
     np.testing.assert_array_equal(wm.values, base_wm.values)
+
+    # a later rule, from the config or embedded, may name the merged answer
+    rule = {"source_answer_ids": ["a_2_q1", "a_3_q1"],
+            "merged_answer": {"id": "a_23_q1", "label": "Symptoms or joint pain"}}
+    doc = json.loads(Path(inputs["questionnaire_path"]).read_text())
+    doc["merge_rules"].append(rule)
+    (tmp_path / "chained.json").write_text(json.dumps(doc))
+    sources = [base_wm.answer_ids.index(a) for a in ("a_2_q1", "a_3_q1")]
+    for cfg in (PipelineConfig(**inputs, merge_rules=(rule,)),
+                PipelineConfig(**{**inputs, "questionnaire_path": str(tmp_path / "chained.json")})):
+        questionnaire, wm = load_inputs(cfg)
+        assert [a.id for a in questionnaire.questions[0].answers] == [
+            "a_1_q1", "a_23_q1", "a_4_q1"]
+        np.testing.assert_array_equal(wm.values[:, 1], base_wm.values[:, sources].mean(axis=1))
+
+
+@pytest.mark.parametrize("order", ["reversed", "rotated"])
+def test_load_inputs_accepts_weight_columns_in_any_order(tmp_path, order):
+    """Weights are matched to the questionnaire by answer id, not position."""
+    n = len(unmerged_weight_matrix().answer_ids)
+    columns = list(range(n))[::-1] if order == "reversed" else [*range(5, n), *range(5)]
+    (tmp_path / "permuted").mkdir()
+    permuted = PipelineConfig(**write_unmerged_inputs(tmp_path / "permuted", columns))
+    questionnaire, wm = load_inputs(permuted)
+    base_q, base_wm = load_inputs(PipelineConfig(**write_unmerged_inputs(tmp_path)))
+    assert questionnaire == base_q
+    assert wm.answer_ids == base_wm.answer_ids == questionnaire.answer_ids
+    np.testing.assert_array_equal(wm.values, base_wm.values)
+
+
+def test_load_inputs_validates_weights_before_merging(tmp_path):
+    wm = unmerged_weight_matrix()
+    values = wm.values.copy()
+    symptoms = [wm.answer_ids.index(a) for a in UNMERGED_SYMPTOM_IDS]
+    # one source weight out of range; the merged mean stays 0.75, as shipped
+    values[wm.doctors.index("d_4"), symptoms] = (3.5, -0.5, 0.5, -0.5)
+    cfg = PipelineConfig(**write_unmerged_inputs(tmp_path, weights=dataclasses.replace(
+        wm, values=values)))
+    with pytest.raises(ValidationError, match="weight 3.5 for doctor 'd_4'"):
+        load_inputs(cfg)
 
 
 def test_prepare_default_result(result):

@@ -1,0 +1,44 @@
+"""Static checks of the public names: the package exports what it lists, and
+every name the demos import from it exists.  The demos are read, not run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import emprob
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in emprob.__all__ if not hasattr(emprob, name)]
+    assert not missing
+    assert len(set(emprob.__all__)) == len(emprob.__all__)
+
+
+def emprob_imports(path):
+    """(module, name) for each name the file imports from an emprob module;
+    name is None for a plain ``import emprob...``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module and (
+            node.module == "emprob" or node.module.startswith("emprob.")
+        ):
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "emprob")
+
+
+def test_demos_exist():
+    assert DEMOS, "no demo scripts found"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    imports = list(emprob_imports(demo))
+    assert imports, f"{demo.name} imports nothing from emprob"
+    for module, name in imports:
+        mod = importlib.import_module(module)
+        assert name is None or hasattr(mod, name), f"{demo.name}: {module}.{name}"

@@ -3,15 +3,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from emprob import (
+    AnswerOption,
+    MergeRule,
     QuestionMode,
     ValidationError,
-    apply_merge,
     default_questionnaire,
     default_weight_matrix,
     load_questionnaire,
     load_weight_matrix,
     mean_weights,
-    merge_questionnaire,
+    merge_answers,
     parse_merge_rule,
     validate_weights,
 )
@@ -138,27 +139,24 @@ def test_mean_weights_bounded_by_column_extremes(weight_matrix, mean_vector):
         assert column.min() <= mean_vector.value(aid) <= column.max()
 
 
-def test_apply_merge_rule_statement():
-    wm = unmerged_weight_matrix()
+def test_merge_answers_rule_statement():
     q = unmerged_questionnaire()
-    rule = q.merge_rules[0]
-    merged = apply_merge(wm, rule, q)
+    _, merged = merge_answers(q, unmerged_weight_matrix(), q.merge_rules[0])
     col = merged.answer_ids.index("a_2_q1")
     d4 = merged.doctors.index("d_4")
     # (1 + 0.5 + 1.5 + 0) / 4
     assert merged.values[d4, col] == 0.75
 
 
-def test_apply_merge_reproduces_shipped_matrix(weight_matrix):
-    wm = unmerged_weight_matrix()
+def test_merge_answers_reproduces_shipped_matrix(weight_matrix):
     q = unmerged_questionnaire()
-    merged = apply_merge(wm, q.merge_rules[0], q)
+    _, merged = merge_answers(q, unmerged_weight_matrix(), q.merge_rules[0])
     assert merged.answer_ids == weight_matrix.answer_ids
     assert merged.values.shape == (15, 19)
     assert_array_equal(merged.values, weight_matrix.values)
 
 
-def test_apply_merge_errors(questionnaire, weight_matrix):
+def test_merge_answers_errors(questionnaire, weight_matrix):
     with pytest.raises(ValidationError):
         parse_merge_rule(
             {"source_answer_ids": ["a_1_q1", "a_1_q2"],
@@ -172,13 +170,21 @@ def test_apply_merge_errors(questionnaire, weight_matrix):
         )
     q = unmerged_questionnaire()
     with pytest.raises(ValidationError):
-        apply_merge(weight_matrix, q.merge_rules[0], q)  # sources absent from matrix
+        merge_answers(q, weight_matrix, q.merge_rules[0])  # sources absent from matrix
+    malformed = {  # expected message -> (sources, merged answer)
+        "none-answer": (("a_1_q1", "a_3_q1"), AnswerOption("m", "m", "q1")),
+        "collides": (("a_3_q1", "a_4_q1"), AnswerOption("a_2_q1", "m", "q1")),
+        "sources belong to 'q1'": (("a_3_q1", "a_4_q1"), AnswerOption("m", "m", "q2")),
+    }
+    for fault, (sources, merged) in malformed.items():
+        with pytest.raises(ValidationError, match=fault):
+            merge_answers(questionnaire, weight_matrix, MergeRule(sources, merged))
 
 
-def test_merge_questionnaire_structure():
+def test_merge_answers_questionnaire_structure():
     q = unmerged_questionnaire()
     assert len(q.answer_ids) == 22
-    merged = merge_questionnaire(q, q.merge_rules[0])
+    merged, _ = merge_answers(q, unmerged_weight_matrix(), q.merge_rules[0])
     assert len(merged.answer_ids) == 19
     q1 = merged.questions[0]
     # merged answer sits where the first source answer was
@@ -190,7 +196,7 @@ def test_merge_then_mean_commutes():
     wm = unmerged_weight_matrix()
     q = unmerged_questionnaire()
     rule = q.merge_rules[0]
-    first = mean_weights(apply_merge(wm, rule, q))
+    first = mean_weights(merge_answers(q, wm, rule)[1])
     pre = mean_weights(wm)
     source_mean = np.mean([pre.value(s) for s in rule.source_answer_ids])
     assert first.value("a_2_q1") == pytest.approx(source_mean, rel=0, abs=1e-15)
