@@ -1,8 +1,9 @@
 """Enumeration of admissible questionnaire cases and per-case weight sums.
 
-A case assigns every question an admissible answer combination: exactly one
-answer for an exclusive question; for a multi-select question either the
-none-answer alone or a non-empty subset of the symptom answers.  Cases are
+A case assigns every question one of the admissible answer combinations that
+``Question.combinations()`` lists: exactly one answer for an exclusive
+question; for a multi-select question either the none-answer alone or a
+non-empty subset of the symptom answers.  Cases are
 ordered canonically: questions vary like mixed-radix digits with the first
 question most significant, each question running through its combinations in
 canonical order (answer-list order for exclusive questions; none first, then
@@ -16,13 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from emprob.schema import (
-    AnswerWeightVector,
-    Question,
-    QuestionMode,
-    Questionnaire,
-    ValidationError,
-)
+from emprob.schema import AnswerWeightVector, Questionnaire, ValidationError
 
 
 @dataclass(frozen=True)
@@ -35,52 +30,34 @@ class CaseVector:
         return answer_id in self.true_answers
 
 
-def validate_case(case: CaseVector, questionnaire: Questionnaire) -> None:
-    """Raise ValidationError unless the case is admissible."""
-    known = set(questionnaire.answer_ids)
-    unknown = case.true_answers - known
+def _digits(case: CaseVector, questionnaire: Questionnaire) -> list[int]:
+    """Each question's index of the case's answers in its combinations();
+    raises ValidationError unless the case is admissible."""
+    unknown = case.true_answers - set(questionnaire.answer_ids)
     if unknown:
         raise ValidationError(f"unknown answers in case: {sorted(unknown)}")
+    digits = []
     for q in questionnaire.questions:
-        chosen = case.true_answers & {a.id for a in q.answers}
-        if q.mode is QuestionMode.EXCLUSIVE:
-            if len(chosen) != 1:
-                raise ValidationError(
-                    f"question {q.id!r}: exactly one answer required, got {sorted(chosen)}"
-                )
-        else:
-            none_id = q.none_answer_id
-            if chosen == {none_id}:
-                continue
-            if not chosen:
-                raise ValidationError(f"question {q.id!r}: no answer selected")
-            if none_id in chosen:
-                raise ValidationError(
-                    f"question {q.id!r}: none-answer combined with symptoms {sorted(chosen)}"
-                )
+        chosen = tuple(a.id for a in q.answers if a.id in case.true_answers)
+        try:
+            digits.append(q.combinations().index(chosen))
+        except ValueError:
+            raise ValidationError(
+                f"question {q.id!r}: {list(chosen)} is not an admissible answer combination"
+            ) from None
+    return digits
 
 
-def _question_combination_index(q: Question, chosen: frozenset[str]) -> int:
-    """Position of the chosen combination in q.combinations() order."""
-    if q.mode is QuestionMode.EXCLUSIVE:
-        (aid,) = chosen
-        return [a.id for a in q.answers].index(aid)
-    if chosen == {q.none_answer_id}:
-        return 0
-    bits = 0
-    for i, aid in enumerate(q.selectable_answer_ids):
-        if aid in chosen:
-            bits |= 1 << i
-    return bits
+def validate_case(case: CaseVector, questionnaire: Questionnaire) -> None:
+    """Raise ValidationError unless the case is admissible."""
+    _digits(case, questionnaire)
 
 
 def canonical_index(case: CaseVector, questionnaire: Questionnaire) -> int:
     """Mixed-radix rank of the case in canonical enumeration order."""
-    validate_case(case, questionnaire)
     idx = 0
-    for q in questionnaire.questions:
-        chosen = case.true_answers & {a.id for a in q.answers}
-        idx = idx * q.combination_count() + _question_combination_index(q, chosen)
+    for q, d in zip(questionnaire.questions, _digits(case, questionnaire)):
+        idx = idx * q.combination_count() + d
     return idx
 
 
@@ -89,15 +66,9 @@ def case_from_index(index: int, questionnaire: Questionnaire) -> CaseVector:
     total = questionnaire.case_count()
     if not 0 <= index < total:
         raise ValidationError(f"case index {index} outside [0, {total})")
-    digits = []
-    rem = index
-    for q in reversed(questionnaire.questions):
-        n = q.combination_count()
-        digits.append(rem % n)
-        rem //= n
-    digits.reverse()
     answers: set[str] = set()
-    for q, d in zip(questionnaire.questions, digits):
+    for q in reversed(questionnaire.questions):
+        index, d = divmod(index, q.combination_count())
         answers.update(q.combinations()[d])
     return CaseVector(true_answers=frozenset(answers))
 
@@ -111,23 +82,13 @@ class CaseSet:
     def __init__(self, questionnaire: Questionnaire):
         self.questionnaire = questionnaire
         self.answer_ids: tuple[str, ...] = questionnaire.answer_ids
-        col = {a: i for i, a in enumerate(self.answer_ids)}
-        per_question = [
-            [[col[a] for a in combo] for combo in q.combinations()]
-            for q in questionnaire.questions
-        ]
-        n = questionnaire.case_count()
-        matrix = np.zeros((n, len(self.answer_ids)), dtype=bool)
-        radices = [q.combination_count() for q in questionnaire.questions]
-        for idx in range(n):
-            rem = idx
-            digits = []
-            for r in reversed(radices):
-                digits.append(rem % r)
-                rem //= r
-            digits.reverse()
-            for combos, d in zip(per_question, digits):
-                matrix[idx, combos[d]] = True
+        # Cartesian product of the per-question blocks, later questions
+        # varying fastest; the empty product is one case with no answers
+        matrix = np.zeros((1, 0), dtype=bool)
+        for q in questionnaire.questions:
+            block = np.array([[a.id in c for a in q.answers] for c in q.combinations()])
+            matrix = np.hstack([np.repeat(matrix, len(block), axis=0),
+                                np.tile(block, (len(matrix), 1))])
         matrix.setflags(write=False)
         self.matrix = matrix
 
@@ -135,10 +96,7 @@ class CaseSet:
         return self.matrix.shape[0]
 
     def __iter__(self) -> Iterator[CaseVector]:
-        for row in self.matrix:
-            yield CaseVector(
-                true_answers=frozenset(a for a, v in zip(self.answer_ids, row) if v)
-            )
+        return (self.case(i) for i in range(len(self)))
 
     def case(self, index: int) -> CaseVector:
         row = self.matrix[index]
@@ -152,35 +110,32 @@ def enumerate_cases(questionnaire: Questionnaire) -> CaseSet:
     return CaseSet(questionnaire)
 
 
-def weight_sum(case: CaseVector, weights: AnswerWeightVector) -> float:
-    """Sum of mean weights over the case's true answers.
+def _sums(matrix: np.ndarray, weights: AnswerWeightVector) -> np.ndarray:
+    """Per-row sums of the weights of the true columns.
 
-    Summation follows the weight vector's answer order, so batch and
-    single-case evaluation agree bit for bit.
+    Each row is reduced on its own, so a one-row matrix gives the same float
+    as that row of a larger one (a matrix product does not promise this).
+    The totals of quarter-point weights add up exactly, so each sum is one
+    correctly rounded division of its exact total.
     """
-    known = set(weights.answer_ids)
-    missing = case.true_answers - known
+    return (matrix * weights.totals).sum(axis=1) / weights.n_doctors
+
+
+def weight_sum(case: CaseVector, weights: AnswerWeightVector) -> float:
+    """Sum of mean weights over the case's true answers, equal bit for bit
+    to the case's row of weight_sums."""
+    missing = case.true_answers - set(weights.answer_ids)
     if missing:
         raise ValidationError(f"case answers missing from weight vector: {sorted(missing)}")
-    mask = np.fromiter(
-        (a in case.true_answers for a in weights.answer_ids),
-        dtype=bool,
-        count=len(weights.answer_ids),
-    )
-    return float(weights.values[mask].sum())
+    row = np.array([[a in case.true_answers for a in weights.answer_ids]])
+    return float(_sums(row, weights)[0])
 
 
 def weight_sums(case_set: CaseSet, weights: AnswerWeightVector) -> np.ndarray:
     """Per-case weight sums for every case, in canonical order."""
     if tuple(weights.answer_ids) != tuple(case_set.answer_ids):
         raise ValidationError("weight vector answer order differs from case set")
-    n = len(case_set)
-    out = np.empty(n, dtype=float)
-    values = weights.values
-    matrix = case_set.matrix
-    for i in range(n):
-        out[i] = values[matrix[i]].sum()
-    return out
+    return _sums(case_set.matrix, weights)
 
 
 @dataclass(frozen=True)

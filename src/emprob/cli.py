@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from emprob.cases import CaseVector, validate_case
 from emprob.pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -95,7 +96,9 @@ def _print_patient(result: PipelineResult, args: argparse.Namespace) -> None:
     ids = tuple(a.strip() for a in args.answers.split(",") if a.strip())
     if not ids:
         raise ValidationError("no answer ids given")
-    ps = score_patient(ids, result.bundle, thresholds=result.config.thresholds)
+    case = CaseVector(true_answers=frozenset(ids))
+    validate_case(case, result.questionnaire)  # before any model is fitted
+    ps = score_patient(case, result.bundle, thresholds=result.config.thresholds)
     doc = {
         "answers": sorted(ps.case.true_answers),
         "raw_sum": ps.raw_sum,

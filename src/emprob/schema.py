@@ -188,17 +188,27 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class AnswerWeightVector:
-    """Per-answer mean weight over doctors, kept at full precision."""
+    """Per-answer weight totals over doctors; the mean weights are
+    ``totals / n_doctors``.  Quarter-point weights and their merge means are
+    dyadic, so the totals, and any sum of them, are exact floats."""
 
     answer_ids: tuple[str, ...]
-    values: np.ndarray  # shape (n_answers,), float64
+    totals: np.ndarray  # shape (n_answers,), float64
+    n_doctors: int
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.answer_ids),):
-            raise ValidationError("mean weight vector length mismatch")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        totals = np.asarray(self.totals, dtype=float)
+        if totals.shape != (len(self.answer_ids),):
+            raise ValidationError("weight total vector length mismatch")
+        if self.n_doctors < 1:
+            raise ValidationError("weight totals need at least one doctor")
+        totals.setflags(write=False)
+        object.__setattr__(self, "totals", totals)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Per-answer mean weights."""
+        return self.totals / self.n_doctors
 
     def value(self, answer_id: str) -> float:
         try:
@@ -333,9 +343,8 @@ def load_weight_matrix(source: str | Path) -> WeightMatrix:
             values.append([float(c) for c in row[1:]])
         except ValueError as e:
             raise ValidationError(f"{source}:{lineno}: {e}") from None
-    return WeightMatrix(
-        doctors=tuple(doctors), answer_ids=answer_ids, values=np.array(values, dtype=float)
-    )
+    values = np.array(values, dtype=float).reshape(len(doctors), len(answer_ids))
+    return WeightMatrix(doctors=tuple(doctors), answer_ids=answer_ids, values=values)
 
 
 def validate_weights(wm: WeightMatrix, questionnaire: Questionnaire) -> WeightMatrix:
@@ -411,10 +420,11 @@ def merge_answers(
 
 
 def mean_weights(wm: WeightMatrix) -> AnswerWeightVector:
-    """Per-answer arithmetic mean across doctors, no rounding."""
+    """Per-answer weight totals across doctors, whose quotient by the doctor
+    count is the arithmetic mean, no rounding."""
     if not wm.doctors:
         raise ValidationError("cannot average an empty doctor list")
-    return AnswerWeightVector(answer_ids=wm.answer_ids, values=wm.values.mean(axis=0))
+    return AnswerWeightVector(wm.answer_ids, wm.values.sum(axis=0), len(wm.doctors))
 
 
 def default_questionnaire() -> Questionnaire:

@@ -10,7 +10,9 @@ Three scores are derived from the normalized weight sum x of a case:
 Scores map onto LOW / MEDIUM / HIGH categories by two thresholds; the
 table's category column comes from the gmm_cdf score, the consensus default.
 Batch scoring over all cases and single-case scoring share the same code
-paths, so a single case reproduces its batch row bit for bit.
+paths, so a single case reproduces its batch row bit for bit.  With
+quarter-point weights every raw sum is the correctly rounded exact value, so
+cases with equal sums also get identical scores.
 """
 
 from __future__ import annotations

@@ -1,24 +1,31 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from emprob import (
     CaseVector,
     Questionnaire,
     ValidationError,
+    WeightMatrix,
     canonical_index,
     case_from_index,
     enumerate_cases,
     load_questionnaire,
+    mean_weights,
     normalize_sums,
     validate_case,
     weight_sum,
     weight_sum_table,
     weight_sums,
 )
-from reference_data import unmerged_questionnaire
+from reference_data import unmerged_questionnaire, unmerged_weight_matrix
 
-RAW_MIN = -2.5999999999999996
+RAW_MIN = -2.6  # float(Fraction(-39, 15))
 RAW_MAX = 12.566666666666666
 
 MAX_CASE = CaseVector(
@@ -147,16 +154,56 @@ def test_weight_sums_batch_matches_single(case_set, mean_vector):
     assert_array_equal(batch, single)
 
 
+def exact_sums(case_set, wm):
+    """Each case's mean-weight sum, computed in exact rational arithmetic and
+    then rounded once to the nearest float."""
+    totals = [sum(map(Fraction, column.tolist()), Fraction(0)) for column in wm.values.T]
+    scale = math.lcm(*(t.denominator for t in totals))
+    numerators = np.array([int(t * scale) for t in totals], dtype=np.int64)
+    per_case = case_set.matrix.astype(np.int64) @ numerators
+    return np.array([float(Fraction(int(k), scale * len(wm.doctors))) for k in per_case])
+
+
+def test_weight_sums_are_exact(case_set, weight_matrix):
+    sums = weight_sums(case_set, mean_weights(weight_matrix))
+    assert_array_equal(sums, exact_sums(case_set, weight_matrix))
+    assert np.unique(sums).size == 364
+
+
+def test_unmerged_weight_sums_are_exact():
+    case_set, wm = enumerate_cases(unmerged_questionnaire()), unmerged_weight_matrix()
+    assert len(case_set) == 12288
+    assert_array_equal(weight_sums(case_set, mean_weights(wm)), exact_sums(case_set, wm))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_weight_sum_matches_batch_row_for_any_weights(case_set, data):
+    """With weights off the quarter-point grid the sums are rounded, yet a
+    single case still reproduces its batch row bit for bit."""
+    n_doctors = data.draw(st.integers(1, 15), label="doctors")
+    n_answers = len(case_set.answer_ids)
+    cells = data.draw(st.lists(st.floats(-1.0, 3.0), min_size=n_doctors * n_answers,
+                               max_size=n_doctors * n_answers), label="weights")
+    doctors = tuple(f"d_{i}" for i in range(n_doctors))
+    wm = WeightMatrix(doctors, case_set.answer_ids, np.reshape(cells, (n_doctors, n_answers)))
+    vector = mean_weights(wm)
+    batch = weight_sums(case_set, vector)
+    for i in data.draw(st.lists(st.integers(0, len(case_set) - 1), min_size=1, max_size=25),
+                       label="cases"):
+        assert weight_sum(case_set.case(i), vector) == batch[i]
+
+
 def test_normalize_bounds_and_known_value(sum_table):
     assert sum_table.normalized.min() == 0.0
     assert sum_table.normalized.max() == 1.0
     zero_raw = np.where(sum_table.raw_sums == 0.0)[0]
     if zero_raw.size:
-        assert sum_table.normalized[zero_raw[0]] == 0.1714285714285714
+        assert sum_table.normalized[zero_raw[0]] == float(Fraction(6, 35))
     # recompute the known point directly from the persisted bounds
     assert (0.0 - sum_table.raw_min) / (
         sum_table.raw_max - sum_table.raw_min
-    ) == 0.1714285714285714
+    ) == float(Fraction(6, 35))
 
 
 def test_normalize_order_preserving(sum_table):

@@ -176,6 +176,13 @@ def test_score_patient_fits_one_mixture(tmp_path, capsys, stage_calls):
     assert doc["category"] == ("LOW", "MEDIUM", "HIGH")[batch.category[i]]
 
 
+def test_score_patient_rejects_bad_answers_before_fitting(capsys, stage_calls):
+    for answers in ("a_1_q1", f"{ALL_FIRST},a_9_q9"):  # inadmissible, unknown id
+        assert main(["score-patient", answers]) == 2, answers
+        assert stage_calls["em_fit"] == [], answers
+        assert "error:" in capsys.readouterr().err
+
+
 def test_score_patient_rejects_empty_ids(capsys):
     assert main(["score-patient", " , "]) == 2
     assert "error:" in capsys.readouterr().err

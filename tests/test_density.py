@@ -225,7 +225,7 @@ def test_select_component_count_two_clusters():
 
 def test_silverman_reference_bandwidth(sum_table):
     h = silverman_bandwidth(sum_table.normalized)
-    assert h == 0.037185163136342486
+    assert h == 0.03718516313634248
 
 
 def test_silverman_scaling():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emprob import pipeline
+from emprob.scoring import SCORE_NAMES
 from emprob import (
     DEFAULT_BANDS,
     PipelineConfig,
@@ -210,7 +211,7 @@ def test_load_inputs_validates_weights_before_merging(tmp_path):
 def test_prepare_default_result(result):
     assert result.gmm.n_components == 2
     assert result.kde.n_points == 1536
-    assert result.kde.bandwidth == 0.037185163136342486
+    assert result.kde.bandwidth == 0.03718516313634248
     assert len(result.selection.reports) == 4
     assert result.selection.aic_best_m == 2
     assert result.selection.bic_best_m == 1
@@ -219,6 +220,16 @@ def test_prepare_default_result(result):
     assert node_count(result.tree_pruned) < node_count(result.tree_full)
     assert tuple(band for band, _ in result.band_contexts) == DEFAULT_BANDS
     assert tuple(band for band, _ in result.lattices) == DEFAULT_BANDS
+
+
+def test_equal_sums_get_identical_scores(result):
+    """Cases whose sums are equal (on the shipped 1/60 grid) get equal
+    scores, bit for bit, under every approach."""
+    table = result.table
+    grid = np.rint(table.raw_sums * 60)
+    assert np.unique(grid).size == 364
+    for name in SCORE_NAMES:
+        assert len(set(zip(grid, table.scores(name)))) == 364, name
 
 
 def test_prepare_fits_each_mixture_once(prepared):

@@ -1,8 +1,12 @@
-"""Static checks of the public names: the package exports what it lists, and
-every name the demos import from it exists.  The demos are read, not run."""
+"""Checks of the public names: the package exports what it lists, and every
+name the demos import from it exists.  The demos are read; the two that
+build a mean-weight vector and score with it are also run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,17 @@ def test_demo_imports_resolve(demo):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{demo.name}: {module}.{name}"
+
+
+@pytest.mark.parametrize("name", ["01_scoring_walkthrough.py", "05_single_patient.py"])
+def test_demo_runs(tmp_path, name):
+    """Run the demo in a child interpreter against the emprob package this
+    suite imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(emprob.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    demo = DEMOS[0].parent / name
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -117,6 +117,13 @@ def test_validate_weights_errors(questionnaire, weight_matrix):
         validate_weights(wm, questionnaire)
 
 
+def test_header_only_weights_file_has_no_doctors(tmp_path, questionnaire):
+    path = tmp_path / "weights.csv"
+    path.write_text("doctor," + ",".join(questionnaire.answer_ids) + "\n")
+    with pytest.raises(ValidationError, match="no doctors"):
+        validate_weights(load_weight_matrix(path), questionnaire)
+
+
 def test_mean_weights_reference_examples(mean_vector):
     assert mean_vector.value("a_1_q3") == pytest.approx(2.8)
     # exact ratio: -4.5 / 15
