@@ -50,7 +50,7 @@ print(f"raw sums span [{table.raw_min:.4f}, {table.raw_max:.4f}]")
 # mixture fitted by EM, and a Gaussian-kernel density estimate
 gmm, report = em_fit(table.normalized, 2)
 kde = KernelDensityEstimate.from_data(table.normalized)
-print(f"\nEM converged after {report.iterations} iterations")
+print(f"\nEM converged after {report.iterations} cycles")
 print(f"mixture means: {gmm.means[0]:.4f} and {gmm.means[1]:.4f}")
 print(f"kernel bandwidth: {kde.bandwidth:.6f}")
 

@@ -32,7 +32,7 @@ x = table.normalized
 # disagree on this data: AIC prefers two components, BIC the single
 # Gaussian with its stronger parameter penalty
 selection = select_component_count(x, m_max=4)
-print("m   logL        AIC        BIC       iterations  converged")
+print("m   logL        AIC        BIC           cycles  converged")
 for r in selection.reports:
     print(
         f"{r.n_components}  {r.log_likelihood:9.3f}  {r.aic:9.3f}  "
@@ -54,7 +54,7 @@ for k in range(2):
     )
 
 # EM maximizes the log-likelihood monotonically; the trace records every
-# iteration so the climb is auditable
+# SQUAREM cycle so the climb is auditable
 trace = np.asarray(report.log_likelihood_trace)
 print(f"log-likelihood climbed {trace[0]:.3f} -> {trace[-1]:.3f}")
 print(f"monotone trace: {bool((np.diff(trace) >= -1e-9).all())}")

@@ -46,8 +46,10 @@ _CONFIG_FLAGS = (
     ("--weights", "weights_path", str, "weight matrix CSV path (default: shipped data)"),
     ("--output-dir", "output_dir", str, "directory for written artifacts"),
     ("--m-max", "m_max", int, "largest component count to try during selection"),
-    ("--em-tol", "em_tol", float, "relative log-likelihood convergence tolerance"),
-    ("--em-max-iter", "em_max_iter", int, "iteration cap per fit"),
+    ("--em-tol", "em_tol", float,
+     "EM stops once a cycle changes the log-likelihood by at most this, relative, "
+     "and no parameter by more than 1e-8"),
+    ("--em-max-iter", "em_max_iter", int, "SQUAREM cycle cap per fit"),
     ("--prune-alpha", "prune_alpha", float, "cost-complexity pruning strength"),
     ("--tree-max-depth", "tree_max_depth", int, "depth cap for the decision tree"),
     ("--min-samples-leaf", "min_samples_leaf", int, "smallest admissible leaf size"),

@@ -1,11 +1,12 @@
 """Univariate Gaussian mixture fitting and kernel density estimation.
 
-The mixture is fitted by expectation-maximization with a deterministic
-initialization (sorted data split into equal-count blocks), so repeated runs
-on the same data give identical parameters.  All likelihood work happens in
-log space with max-subtraction to avoid underflow.  Model order can be
-chosen by information criteria; the kernel estimate uses a Gaussian kernel
-with Silverman's bandwidth.
+The mixture is fitted by SQUAREM-accelerated expectation-maximization with a
+deterministic initialization (sorted data split into equal-count blocks), so
+repeated runs on the same data give identical parameters.  All likelihood
+work happens in log space with max-subtraction to avoid underflow.  Model
+order can be chosen by information criteria; the kernel estimate uses a
+Gaussian kernel with Silverman's bandwidth.  Both work on the distinct values
+of the sample weighted by their counts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from emprob.schema import ValidationError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _SIGMA_FLOOR = 1e-6
+# a fit converges only once no weight, mean or sigma moves by more than this
+_PARAM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one EM run; the trace holds the log-likelihood after the
-    initialization and after each iteration."""
+    """Outcome of one EM run; iterations counts SQUAREM cycles, and the trace
+    holds the log-likelihood after the initialization and after each cycle."""
 
     n_components: int
     log_likelihood: float
@@ -182,6 +185,18 @@ def _block_init(x_sorted: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, n
     return w, mu, sg
 
 
+def _to_theta(params) -> np.ndarray:
+    """(weights, means, sigmas) as one (log w, mu, log sigma) vector."""
+    w, mu, sg = params
+    return np.concatenate([np.log(w), mu, np.log(sg)])
+
+
+def _from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lw, mu, lsg = np.split(theta, 3)
+    w = np.exp(lw - lw.max())
+    return w / w.sum(), mu, np.maximum(np.exp(lsg), _SIGMA_FLOOR)
+
+
 def em_fit(
     data,
     n_components: int,
@@ -189,7 +204,15 @@ def em_fit(
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> tuple[GaussianMixture, FitReport]:
-    """Fit a univariate Gaussian mixture by EM.
+    """Fit a univariate Gaussian mixture by EM with SQUAREM acceleration.
+
+    EM runs on the distinct values of the data, each weighted by how often it
+    occurs, which gives the same likelihood as the full sample.  Each cycle
+    takes two plain EM steps, extrapolates along them in (log weight, mean,
+    log sigma) space with the S3 step length of Varadhan & Roland (2008,
+    Scand. J. Stat. 35:335), and applies one EM step to the extrapolated
+    point; that point is kept only when its log-likelihood is at least the
+    second plain step's, so the trace never decreases.
 
     Parameters
     ----------
@@ -198,16 +221,19 @@ def em_fit(
     n_components : int
         Number of mixture components, at least 1.
     tol : float
-        Relative log-likelihood change below which EM stops.
+        Relative log-likelihood change per cycle below which EM may stop; it
+        stops only when, in the same cycle, no weight, mean or sigma moved by
+        more than 1e-8.
     max_iter : int
-        Iteration cap; the fit is flagged unconverged when reached.
+        Cap on SQUAREM cycles (at most three EM steps each); the fit is
+        flagged unconverged when reached.
 
     Returns
     -------
     (GaussianMixture, FitReport)
         Fitted model with components sorted by ascending mean, plus the run
-        report.  The reported log-likelihood always belongs to the returned
-        parameters.
+        report, whose iterations count SQUAREM cycles.  The reported
+        log-likelihood always belongs to the returned parameters.
     """
     x = np.asarray(data, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
@@ -225,39 +251,53 @@ def em_fit(
         raise ValidationError("max_iter must be at least 1")
 
     x_sorted = np.sort(x)
-    w, mu, sg = _block_init(x_sorted, m)
+    atoms, counts = np.unique(x_sorted, return_counts=True)
+    counts = counts.astype(float)
 
-    def log_components() -> tuple[np.ndarray, np.ndarray]:
-        """Per-point component log-densities and their log-sum-exp."""
-        z = (x_sorted[:, None] - mu) / sg
+    def e_step(params):
+        """Log-likelihood and count-weighted responsibilities at params."""
+        w, mu, sg = params
+        z = (atoms[:, None] - mu) / sg
         logc = np.log(w) - np.log(sg) - 0.5 * _LOG_2PI - 0.5 * z * z
         mx = logc.max(axis=1, keepdims=True)
-        return logc, mx[:, 0] + np.log(np.exp(logc - mx).sum(axis=1))
+        lognorm = mx[:, 0] + np.log(np.exp(logc - mx).sum(axis=1))
+        return float(counts @ lognorm), np.exp(logc - lognorm[:, None]) * counts[:, None]
 
-    logc, lognorm = log_components()
-    ll = float(lognorm.sum())
+    def m_step(resp):
+        nk = resp.sum(axis=0)
+        mu = (resp * atoms[:, None]).sum(axis=0) / nk
+        sg = np.sqrt((resp * (atoms[:, None] - mu) ** 2).sum(axis=0) / nk)
+        return nk / x_sorted.size, mu, np.maximum(sg, _SIGMA_FLOOR)
+
+    params = _block_init(x_sorted, m)
+    ll, resp = e_step(params)
     trace = [ll]
     converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        # M-step from the responsibilities of the current parameters
-        resp = np.exp(logc - lognorm[:, None])
-        nk = resp.sum(axis=0)
-        mu = (resp * x_sorted[:, None]).sum(axis=0) / nk
-        sg = np.maximum(
-            np.sqrt((resp * (x_sorted[:, None] - mu) ** 2).sum(axis=0) / nk), _SIGMA_FLOOR
-        )
-        w = nk / x_sorted.size
-        logc, lognorm = log_components()
-        new_ll = float(lognorm.sum())
+    for iterations in range(1, max_iter + 1):
+        p1 = m_step(resp)
+        p2 = m_step(e_step(p1)[1])
+        best = (p2, *e_step(p2))
+        t0, t1, t2 = (_to_theta(p) for p in (params, p1, p2))
+        r, v = t1 - t0, t2 - 2.0 * t1 + t0
+        v_norm = np.linalg.norm(v)
+        if v_norm > 0.0:
+            # S3 step length; alpha = -1 would land on the second step
+            alpha = min(-np.linalg.norm(r) / v_norm, -1.0)
+            # a wild jump ends in a NaN or -inf likelihood and is rejected
+            with np.errstate(all="ignore"):
+                p3 = m_step(e_step(_from_theta(t0 - 2.0 * alpha * r + alpha**2 * v))[1])
+                ll3, resp3 = e_step(p3)
+            if ll3 >= best[1]:
+                best = (p3, ll3, resp3)
+        moved = max(float(np.abs(new - old).max()) for new, old in zip(best[0], params))
+        params, new_ll, resp = best
         trace.append(new_ll)
-        iterations = it
-        if abs(new_ll - ll) <= tol * abs(new_ll):
-            ll = new_ll
-            converged = True
-            break
+        converged = abs(new_ll - ll) <= tol * abs(new_ll) and moved <= _PARAM_TOL
         ll = new_ll
+        if converged:
+            break
 
+    w, mu, sg = params
     order = np.argsort(mu, kind="stable")
     model = GaussianMixture(weights=w[order], means=mu[order], sigmas=sg[order])
     p = gmm_parameter_count(m)
@@ -323,7 +363,12 @@ def silverman_bandwidth(data) -> float:
 # compared by identity: the sample is an init-only value, not a field
 @dataclass(frozen=True, eq=False)
 class KernelDensityEstimate:
-    """Gaussian-kernel density estimate over a fixed sample."""
+    """Gaussian-kernel density estimate over a fixed sample.
+
+    The sample is kept as its distinct values and their counts; pdf and cdf
+    sum count-weighted kernels along the last axis, so one point and a row
+    of a batch give the same bits.
+    """
 
     data: InitVar[Sequence[float]]
     bandwidth: float
@@ -336,9 +381,14 @@ class KernelDensityEstimate:
             raise ValidationError("kernel estimate input contains non-finite values")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
-        x.setflags(write=False)
+        atoms, counts = np.unique(x, return_counts=True)
+        counts = counts.astype(float)
+        for a in (atoms, counts):
+            a.setflags(write=False)
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_n", x.size)
 
     @classmethod
     def from_data(cls, data) -> "KernelDensityEstimate":
@@ -348,17 +398,19 @@ class KernelDensityEstimate:
 
     @property
     def n_points(self) -> int:
-        return self._x.size
+        return self._n
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self._x) / self.bandwidth
+        z = (x[..., None] - self._atoms) / self.bandwidth
         with np.errstate(over="ignore"):
-            out = np.exp(-0.5 * z * z).mean(axis=-1) / (self.bandwidth * np.sqrt(2.0 * np.pi))
+            k = np.exp(-0.5 * z * z)
+        out = (k * self._counts).sum(axis=-1) / self._n / (self.bandwidth * np.sqrt(2.0 * np.pi))
         return out if out.ndim else float(out)
 
     def cdf(self, x):
         """Average of kernel CDFs: (1/n) sum Phi((x - x_t) / h)."""
         x = np.asarray(x, dtype=float)
-        out = ndtr((x[..., None] - self._x) / self.bandwidth).mean(axis=-1)
+        k = ndtr((x[..., None] - self._atoms) / self.bandwidth)
+        out = (k * self._counts).sum(axis=-1) / self._n
         return out if out.ndim else float(out)

@@ -9,10 +9,11 @@ Three scores are derived from the normalized weight sum x of a case:
 
 Scores map onto LOW / MEDIUM / HIGH categories by two thresholds; the
 table's category column comes from the gmm_cdf score, the consensus default.
-Batch scoring over all cases and single-case scoring share the same code
-paths, so a single case reproduces its batch row bit for bit.  With
+Batch scoring evaluates each distinct normalized sum once and gathers the
+scores back per case; single-case scoring runs the same elementwise code on
+one value, so a single case reproduces its batch row bit for bit.  With
 quarter-point weights every raw sum is the correctly rounded exact value, so
-cases with equal sums also get identical scores.
+cases with equal sums get identical scores.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ def elicit_probabilities(
     if table.case_set is None:
         raise ValidationError("weight-sum table has no case set attached")
     x = table.normalized
-    p1 = gmm.cdf(x)
+    # each distinct sum is scored once and the scores gathered back per case
+    atoms, inverse = np.unique(x, return_inverse=True)
+    p1 = gmm.cdf(atoms)[inverse]
     return ScoreTable(
         case_set=table.case_set,
         raw_sums=table.raw_sums,
@@ -179,8 +182,8 @@ def elicit_probabilities(
         raw_min=table.raw_min,
         raw_max=table.raw_max,
         score_gmm_cdf=p1,
-        score_kde_cdf=kde.cdf(x),
-        score_posterior=gmm.posterior(x, ill_component(gmm)),
+        score_kde_cdf=kde.cdf(atoms)[inverse],
+        score_posterior=gmm.posterior(atoms, ill_component(gmm))[inverse],
         category=categorize_array(p1, thresholds),
         thresholds=thresholds,
     )

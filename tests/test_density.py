@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import ndtr
 
 from emprob import (
     GaussianMixture,
@@ -174,6 +175,65 @@ def test_em_trace_monotone():
     assert (np.diff(trace) >= -1e-9 * np.abs(trace[:-1])).all()
 
 
+# converged log-likelihoods of the default candidates on the shipped sums
+SHIPPED_LL = {1: 461.5443962, 2: 467.2128442, 3: 468.5212074, 4: 471.1121499}
+
+
+@pytest.fixture(scope="module")
+def shipped_fits(sum_table):
+    return {m: em_fit(sum_table.normalized, m) for m in SHIPPED_LL}
+
+
+def plain_em_step(model, x):
+    """One textbook EM step on every observation, no weighting or speed-up."""
+    w, mu, sg = (np.asarray(a) for a in (model.weights, model.means, model.sigmas))
+    dens = w * np.exp(-0.5 * ((x[:, None] - mu) / sg) ** 2) / (sg * math.sqrt(2 * math.pi))
+    resp = dens / dens.sum(axis=1, keepdims=True)
+    nk = resp.sum(axis=0)
+    mu1 = (resp * x[:, None]).sum(axis=0) / nk
+    sg1 = np.sqrt((resp * (x[:, None] - mu1) ** 2).sum(axis=0) / nk)
+    return (nk / x.size, mu1, sg1), (w, mu, sg)
+
+
+def test_em_default_candidates_converge(shipped_fits):
+    for m, ll in SHIPPED_LL.items():
+        _, report = shipped_fits[m]
+        assert report.converged, f"m={m} stopped unconverged"
+        assert report.log_likelihood == pytest.approx(ll, abs=1e-6), f"m={m}"
+        trace = np.asarray(report.log_likelihood_trace)
+        assert trace.size == report.iterations + 1
+        assert (np.diff(trace) >= -1e-9 * np.abs(trace[:-1])).all()
+
+
+def test_em_converged_means_a_plain_step_moves_nothing(shipped_fits, sum_table):
+    # "converged" must mean the fit is at a fixed point of EM on the full
+    # sample, not merely that the likelihood changes slowly
+    for m, (model, report) in shipped_fits.items():
+        assert report.converged
+        after, before = plain_em_step(model, sum_table.normalized)
+        moved = max(np.abs(a - b).max() for a, b in zip(after, before))
+        assert moved <= 1e-7, f"m={m}: one EM step moves a parameter by {moved:.2e}"
+
+
+def test_em_cycle_cap_reports_unconverged(sum_table):
+    model, report = em_fit(sum_table.normalized, 3, max_iter=1)
+    assert not report.converged
+    assert report.iterations == 1
+    assert len(report.log_likelihood_trace) == 2
+    assert report.log_likelihood == pytest.approx(
+        model.log_likelihood(sum_table.normalized), rel=1e-12
+    )
+
+
+def test_em_on_tied_data_reports_full_sample_likelihood():
+    rng = np.random.default_rng(41)
+    x = np.concatenate([rng.integers(0, 6, 300), rng.integers(9, 16, 200)]) / 15.0
+    assert np.unique(x).size <= 13
+    for m in (1, 2, 3):
+        model, report = em_fit(x, m)
+        assert report.log_likelihood == pytest.approx(model.log_likelihood(x), rel=1e-12)
+
+
 def test_em_errors():
     with pytest.raises(ValidationError):
         em_fit(np.array([1.0, 2.0]), 2)  # needs size > M
@@ -276,16 +336,19 @@ def test_kde_from_data_uses_silverman(kde, sum_table):
 
 
 def test_kde_pdf_matches_brute_force(kde, sum_table):
-    x = float(sum_table.normalized.mean())
+    # the estimate sums over distinct values weighted by their counts; the
+    # reference sums one kernel per observation, all 1,536 of them, exactly
+    data = sum_table.normalized
+    assert kde.n_points == data.size == 1536
     h = kde.bandwidth
-    n = kde.n_points
-    brute = sum(
-        math.exp(-0.5 * ((x - t) / h) ** 2) / (n * h * math.sqrt(2 * math.pi))
-        for t in sum_table.normalized
-    )
-    value = kde.pdf(np.array([x]))[0]
-    assert value == pytest.approx(brute, rel=1e-12)
-    assert value > 0
+    for x in (data, np.linspace(-0.2, 1.2, 1401)):
+        z = (x[:, None] - data) / h
+        pdf = np.array([math.fsum(row) for row in np.exp(-0.5 * z * z)])
+        pdf = pdf / data.size / (h * math.sqrt(2 * math.pi))
+        cdf = np.array([math.fsum(row) for row in ndtr(z)]) / data.size
+        assert np.abs(kde.pdf(x) - pdf).max() <= 1e-15
+        assert np.abs(kde.cdf(x) - cdf).max() <= 1e-15
+    assert (kde.pdf(data) > 0).all()
 
 
 def test_kde_validation():
