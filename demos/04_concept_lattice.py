@@ -20,7 +20,6 @@ from emprob import (
     elicit_probabilities,
     em_fit,
     enumerate_cases,
-    enumerate_concepts,
     export_cxt,
     export_dot,
     export_supports_csv,
@@ -50,10 +49,9 @@ print(f"support a_2_q6: {ctx.support(('a_2_q6',))}")
 
 # every concept is a maximal rectangle of the incidence: a case set and
 # the exact attribute set those cases share
-concepts = enumerate_concepts(ctx)
-lattice = build_lattice(ctx, concepts)
-print(f"concepts: {len(concepts)}, covering edges: {len(lattice.edges)}")
-widest = max(concepts, key=lambda c: len(c.extent) * len(c.intent))
+lattice = build_lattice(ctx)
+print(f"concepts: {len(lattice.concepts)}, covering edges: {len(lattice.edges)}")
+widest = max(lattice.concepts, key=lambda c: len(c.extent) * len(c.intent))
 print(
     f"largest rectangle: {len(widest.extent)} cases x "
     f"{len(widest.intent)} answers {widest.intent_names(ctx)}"

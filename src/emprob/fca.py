@@ -1,16 +1,19 @@
 """Formal concept analysis over case-answer incidence.
 
 A formal context pairs objects (cases) with attributes (answers) through a
-boolean incidence matrix.  Concepts are maximal rectangles (extent, intent);
-they are enumerated with the Next-Closure algorithm in lectic order of
-intents, which visits every closed attribute set exactly once.  The covering
-relation between concepts gives the concept lattice diagram.
+boolean incidence matrix.  Concepts are maximal rectangles (extent, intent).
+Each attribute's column is held as one Python int over the objects, so a
+derivation is a chain of bitwise ANDs.  Concepts are enumerated with
+Next-Closure (Ganter 1984) in lectic order of intents, which visits every
+closed attribute set exactly once.  The covering relation, which gives the
+concept lattice diagram, comes from Lindig's neighbour step (Lindig 2000,
+"Fast Concept Analysis").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -109,6 +112,24 @@ class Concept:
         return tuple(context.attributes[i] for i in self.intent)
 
 
+def _columns(context: FormalContext) -> list[int]:
+    """Each attribute's extent as an int: bit g is set when object g has it."""
+    packed = np.packbits(context.incidence, axis=0, bitorder="little")
+    return [int.from_bytes(packed[:, a].tobytes(), "little") for a in range(context.n_attributes)]
+
+
+def _indices(masks: list[int], width: int) -> list[tuple[int, ...]]:
+    """Each bitset of ``width`` bits as the ascending tuple of its set bits."""
+    n_bytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(x.to_bytes(n_bytes, "little") for x in masks), np.uint8)
+    rows, pos = np.nonzero(
+        np.unpackbits(packed.reshape(len(masks), n_bytes), axis=1, bitorder="little")
+    )
+    ends = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
+    pos = pos.tolist()
+    return [tuple(pos[s:e]) for s, e in zip([0] + ends, ends)]
+
+
 def enumerate_concepts(context: FormalContext) -> tuple[Concept, ...]:
     """All formal concepts in lectic order of their intents (Next-Closure).
 
@@ -116,38 +137,35 @@ def enumerate_concepts(context: FormalContext) -> tuple[Concept, ...]:
     full intent (the bottom).
     """
     m = context.n_attributes
-    inc = context.incidence
-
-    def closure(attr_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ext = inc[:, attr_mask].all(axis=1)
-        return ext, inc[ext].all(axis=0)
-
-    def as_concept(ext: np.ndarray, intent: np.ndarray) -> Concept:
-        return Concept(
-            extent=tuple(int(i) for i in np.flatnonzero(ext)),
-            intent=tuple(int(i) for i in np.flatnonzero(intent)),
-        )
-
-    ext, A = closure(np.zeros(m, dtype=bool))
-    concepts = [as_concept(ext, A)]
+    cols = _columns(context)
+    ext = full = (1 << context.n_objects) - 1
+    intent = sum(1 << a for a in range(m) if cols[a] == full)
+    extents, intents = [ext], [intent]
     while True:
-        found = False
-        work = A.copy()
-        for i in range(m - 1, -1, -1):
-            if work[i]:
-                work[i] = False
-                continue
-            cand = work.copy()
-            cand[i] = True
-            ext, B = closure(cand)
-            # lectic successor: nothing new may appear below position i
-            if not (B[:i] & ~work[:i]).any():
-                concepts.append(as_concept(ext, B))
-                A = B
-                found = True
+        # prefix[i]: the extent of the intent's attributes below i
+        prefix = [full]
+        for a in range(m):
+            prefix.append(prefix[-1] & cols[a] if intent >> a & 1 else prefix[-1])
+        missing = [a for a in range(m) if not intent >> a & 1]
+        # try each attribute outside the intent, the last first
+        for k in range(len(missing) - 1, -1, -1):
+            i = missing[k]
+            ext = prefix[i] & cols[i]
+            # lectic successor: the closure adds nothing below position i
+            for j in missing[:k]:
+                if ext & cols[j] == ext:
+                    break
+            else:
+                intent = (intent & ((1 << i) - 1)) | (1 << i)
+                for j in range(i + 1, m):
+                    if ext & cols[j] == ext:
+                        intent |= 1 << j
+                extents.append(ext)
+                intents.append(intent)
                 break
-        if not found:
-            return tuple(concepts)
+        else:
+            return tuple(map(Concept, _indices(extents, context.n_objects),
+                             _indices(intents, m)))
 
 
 @dataclass(frozen=True)
@@ -165,64 +183,42 @@ class ConceptLattice:
     bottom: int
 
 
-def _validate_concepts(context: FormalContext, concepts: Sequence[Concept]) -> None:
-    """Each pair must be closed: extent' = intent and intent' = extent."""
-    for c in concepts:
-        ext = np.zeros(context.n_objects, dtype=bool)
-        ext[list(c.extent)] = True
-        intent = np.zeros(context.n_attributes, dtype=bool)
-        intent[list(c.intent)] = True
-        if not np.array_equal(context.intent_mask(ext), intent):
-            raise ValidationError(f"closure violation: extent' != intent for {c}")
-        if not np.array_equal(context.extent_mask(intent), ext):
-            raise ValidationError(f"closure violation: intent' != extent for {c}")
+def build_lattice(context: FormalContext) -> ConceptLattice:
+    """Enumerate the context's concepts and compute their covering relation.
 
-
-def build_lattice(
-    context: FormalContext, concepts: Sequence[Concept] | None = None
-) -> ConceptLattice:
-    """Compute the covering relation over the context's concepts.
-
-    When a concept list is passed it must be the complete set for this
-    context; each pair is checked for the closure property.  Without one,
-    concepts are enumerated here.
+    Lindig's neighbour step: for a concept (X, Y), every X & a' with a
+    outside Y is a closed extent below X, and the maximal ones among them
+    are X's lower covers.  For a in Y, X & a' is X itself.
     """
-    if concepts is None:
-        concepts = enumerate_concepts(context)
-    else:
-        concepts = tuple(concepts)
-        _validate_concepts(context, concepts)
-    intent_bits = []
+    concepts = enumerate_concepts(context)
+    cols = _columns(context)
+    full = (1 << context.n_objects) - 1
+    extents = []
     for c in concepts:
-        bits = 0
+        ext = full
         for a in c.intent:
-            bits |= 1 << a
-        intent_bits.append(bits)
-
-    n = len(concepts)
-    by_size_desc = sorted(range(n), key=lambda i: (-len(concepts[i].intent), i))
+            ext &= cols[a]
+        extents.append(ext)
+    index = {ext: i for i, ext in enumerate(extents)}
     edges: list[tuple[int, int]] = []
-    for c_idx in range(n):
-        cb = intent_bits[c_idx]
-        accepted: list[int] = []
-        # candidates with strictly smaller intent, largest (nearest) first
-        for d_idx in by_size_desc:
-            db = intent_bits[d_idx]
-            if db == cb or (db & cb) != db:
-                continue  # not a proper subset of cb
-            if any(db & intent_bits[a] == db for a in accepted):
-                continue  # some accepted cover lies strictly between
-            accepted.append(d_idx)
-        edges.extend((c_idx, d_idx) for d_idx in accepted)
-
-    top = max(range(n), key=lambda i: (len(concepts[i].extent), -i))
-    bottom = max(range(n), key=lambda i: (len(concepts[i].intent), -i))
+    for upper, ext in enumerate(extents):
+        below = {ext & col for col in cols}
+        below.discard(ext)
+        covers: list[int] = []
+        # largest first, so a set is a cover unless a kept cover contains it
+        for cand in sorted(below, key=int.bit_count, reverse=True):
+            for kept in covers:
+                if cand & kept == cand:
+                    break
+            else:
+                covers.append(cand)
+        edges.extend((index[cand], upper) for cand in covers)
     return ConceptLattice(
         context=context,
         concepts=concepts,
         edges=tuple(sorted(edges)),
-        top=top,
-        bottom=bottom,
+        top=0,
+        bottom=len(concepts) - 1,
     )
 
 

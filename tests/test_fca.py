@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emprob import (
-    Concept,
     FormalContext,
     ValidationError,
     build_band_context,
@@ -170,12 +169,29 @@ def test_diamond_lattice():
     assert bottom.extent == () and bottom.intent == (0, 1)
 
 
+def edge_case_contexts():
+    """No objects, no attributes, duplicate rows, and all ones."""
+    def ctx(inc):
+        n_obj, n_att = inc.shape
+        return FormalContext(tuple(f"o{i}" for i in range(n_obj)),
+                             tuple(f"y{j}" for j in range(n_att)), inc)
+
+    rows = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
+    return [ctx(np.zeros((0, 4), dtype=bool)), ctx(np.zeros((5, 0), dtype=bool)),
+            ctx(rows[[0, 1, 0, 2, 1, 1]]), ctx(np.ones((4, 3), dtype=bool))]
+
+
 def test_edges_are_transitive_reduction():
     rng = np.random.default_rng(61)
-    for _ in range(10):
-        ctx = random_context(rng, max_side=6)
+    contexts = [random_context(rng, max_side=10) for _ in range(40)]
+    for ctx in contexts + edge_case_contexts():
         lattice = build_lattice(ctx)
         concepts = lattice.concepts
+        # lectic order: intents compared as bit vectors, attribute 0 first
+        vectors = [tuple(a in c.intent for a in range(ctx.n_attributes)) for c in concepts]
+        assert vectors == sorted(vectors)
+        assert concepts[lattice.top].extent == tuple(range(ctx.n_objects))
+        assert concepts[lattice.bottom].intent == tuple(range(ctx.n_attributes))
         extents = [frozenset(c.extent) for c in concepts]
         proper = {
             (i, j)
@@ -189,11 +205,6 @@ def test_edges_are_transitive_reduction():
             if not any((i, k) in proper and (k, j) in proper for k in range(len(concepts)))
         }
         assert set(lattice.edges) == covers
-
-
-def test_build_lattice_rejects_inconsistent_concepts():
-    with pytest.raises(ValidationError):
-        build_lattice(DIAGONAL, concepts=(Concept(extent=(0,), intent=(1,)),))
 
 
 def test_band_context_full_range(score_table):

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
@@ -220,6 +221,33 @@ def test_prepare_default_result(result):
     assert node_count(result.tree_pruned) < node_count(result.tree_full)
     assert tuple(band for band, _ in result.band_contexts) == DEFAULT_BANDS
     assert tuple(band for band, _ in result.lattices) == DEFAULT_BANDS
+
+
+# per default band: concepts, covering edges, and the SHA-256 of its
+# lattice DOT file, from an independent O(n^2) cover search (13,683
+# concepts and 52,858 edges in all)
+DEFAULT_LATTICES = {
+    "0_0.1": (886, 3371, "29e2e3f31ece1572127c87e03f05c10e07480434af5415f43339776670dc690e"),
+    "0.1_0.2": (1175, 4436, "fc7a44f1491c5ceeda0fe925df9fa50445b4373d1574e420b0e355956ccdeb4c"),
+    "0.2_0.3": (1495, 5790, "0564811e6d555f03b7d42a08a700f6d980f7f85e5ad97c6b8683e0bd597eaea0"),
+    "0.3_0.4": (1590, 6134, "19ecddcbb6d6fcdba9410db2a8e24e54bd14d7dc0832043759f37f4659aeaf0c"),
+    "0.4_0.5": (1671, 6474, "41e2323fff938408eecf823d370262bb0a8c0ac1bb72271da5891ee2b4f97074"),
+    "0.5_0.6": (1582, 6084, "823b67c0a9335db3b7c049e1cc08c7e6653ae5b7230c2a733950db69e1333691"),
+    "0.6_0.7": (1621, 6326, "f75d975dadf060be5b28bb5dce631e16ac48e483f9ff560ca395274184019a58"),
+    "0.7_0.8": (1629, 6422, "2c4e1a497ecf1d86b33ff32ebb8671de531482db3273f39c7a86f6eed1cdc14b"),
+    "0.8_0.9": (1160, 4402, "f16b8150d52afc9e46d39d16434fd042fb1f4fdf7630574cbd10bb303bb2e786"),
+    "0.9_1": (874, 3419, "aed9f469f53d77e18dbd9664b427bd86cf2b2ac7794e6131c1f3fb1a5be41a9a"),
+}
+
+
+def test_default_lattices_match_reference(result, tmp_path):
+    got = {band_tag(band): (len(lattice.concepts), len(lattice.edges))
+           for band, lattice in result.lattices}
+    assert got == {tag: sizes[:2] for tag, sizes in DEFAULT_LATTICES.items()}
+    pipeline.write_lattices(result, tmp_path)
+    for tag, (_, _, digest) in DEFAULT_LATTICES.items():
+        dot = (tmp_path / f"lattice_{tag}.dot").read_bytes()
+        assert hashlib.sha256(dot).hexdigest() == digest, tag
 
 
 def test_equal_sums_get_identical_scores(result):
