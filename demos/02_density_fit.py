@@ -54,7 +54,8 @@ for k in range(2):
     )
 
 # EM maximizes the log-likelihood monotonically; the trace records every
-# SQUAREM cycle so the climb is auditable
+# cycle (one SQUAREM step, then one Newton step kept only if it does not
+# lower the likelihood) so the climb is auditable
 trace = np.asarray(report.log_likelihood_trace)
 print(f"log-likelihood climbed {trace[0]:.3f} -> {trace[-1]:.3f}")
 print(f"monotone trace: {bool((np.diff(trace) >= -1e-9).all())}")

@@ -47,9 +47,11 @@ _CONFIG_FLAGS = (
     ("--output-dir", "output_dir", str, "directory for written artifacts"),
     ("--m-max", "m_max", int, "largest component count to try during selection"),
     ("--em-tol", "em_tol", float,
-     "EM stops once a cycle changes the log-likelihood by at most this, relative, "
-     "and no parameter by more than 1e-8"),
-    ("--em-max-iter", "em_max_iter", int, "SQUAREM cycle cap per fit"),
+     "EM stops once a cycle (SQUAREM plus one safeguarded Newton step) changes the "
+     "log-likelihood by at most this, relative, and no parameter by more than 1e-8; "
+     "nonnegative"),
+    ("--em-max-iter", "em_max_iter", int,
+     "cap on EM cycles (SQUAREM plus one safeguarded Newton step) per fit; at least 1"),
     ("--prune-alpha", "prune_alpha", float, "cost-complexity pruning strength"),
     ("--tree-max-depth", "tree_max_depth", int, "depth cap for the decision tree"),
     ("--min-samples-leaf", "min_samples_leaf", int, "smallest admissible leaf size"),

@@ -1,8 +1,10 @@
 """Univariate Gaussian mixture fitting and kernel density estimation.
 
-The mixture is fitted by SQUAREM-accelerated expectation-maximization with a
-deterministic initialization (sorted data split into equal-count blocks), so
-repeated runs on the same data give identical parameters.  All likelihood
+The mixture is fitted by expectation-maximization with a deterministic
+initialization (sorted data split into equal-count blocks), so repeated runs
+on the same data give identical parameters.  Each cycle is one SQUAREM step
+followed by one safeguarded Newton step, which takes the fit from EM's slow
+crawl near the optimum to a stationary point in a few cycles.  All likelihood
 work happens in log space with max-subtraction to avoid underflow.  Model
 order can be chosen by information criteria; the kernel estimate uses a
 Gaussian kernel with Silverman's bandwidth.  Both work on the distinct values
@@ -23,6 +25,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _SIGMA_FLOOR = 1e-6
 # a fit converges only once no weight, mean or sigma moves by more than this
 _PARAM_TOL = 1e-8
+# a Newton step that lowers the log-likelihood is halved at most this often
+_NEWTON_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,9 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one EM run; iterations counts SQUAREM cycles, and the trace
-    holds the log-likelihood after the initialization and after each cycle."""
+    """Outcome of one EM run; iterations counts cycles (one SQUAREM step and
+    one Newton step each), and the trace holds the log-likelihood after the
+    initialization and after each cycle."""
 
     n_components: int
     log_likelihood: float
@@ -197,6 +202,53 @@ def _from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w / w.sum(), mu, np.maximum(np.exp(lsg), _SIGMA_FLOOR)
 
 
+def _newton_step(atoms, counts, params, resp):
+    """Newton step for the count-weighted log-likelihood at params.
+
+    The coordinates are (weight logits against the last component, means, log
+    sigmas), with the analytic gradient and Hessian; resp holds the
+    count-weighted responsibilities at params.  Returns the point's
+    coordinates and the step, or None where the Hessian is not negative
+    definite.
+    """
+    w, mu, sg = params
+    m = w.size
+    k = np.arange(m)
+    lead = w[:-1]
+    z = (atoms[:, None] - mu) / sg
+    # jac[i, k]: gradient of log(w_k N(x_i | mu_k, sigma_k)) in the coordinates
+    jac = np.zeros((atoms.size, m, 3 * m - 1))
+    jac[:, :, : m - 1] = np.eye(m)[:, : m - 1] - lead
+    jac[:, k, m - 1 + k] = z / sg
+    jac[:, k, 2 * m - 1 + k] = z * z - 1.0
+    per_atom = np.einsum("ik,ikp->ip", resp, jac)
+    grad = per_atom.sum(axis=0)
+    flat = jac.reshape(atoms.size * m, -1)
+    hess = flat.T @ (resp.reshape(-1, 1) * flat) - per_atom.T @ (per_atom / counts[:, None])
+    # plus each component's own second derivatives, summed under resp
+    hess[: m - 1, : m - 1] -= counts.sum() * (np.diag(lead) - np.outer(lead, lead))
+    hess[m - 1 + k, m - 1 + k] -= resp.sum(axis=0) / sg**2
+    cross = 2.0 * (resp * z).sum(axis=0) / sg
+    hess[m - 1 + k, 2 * m - 1 + k] -= cross
+    hess[2 * m - 1 + k, m - 1 + k] -= cross
+    hess[2 * m - 1 + k, 2 * m - 1 + k] -= 2.0 * (resp * z * z).sum(axis=0)
+    if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))):
+        return None
+    try:
+        np.linalg.cholesky(-hess)
+    except np.linalg.LinAlgError:
+        return None
+    theta = np.concatenate([np.log(lead / w[-1]), mu, np.log(sg)])
+    return theta, np.linalg.solve(-hess, grad)
+
+
+def _from_logits(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    logits = np.append(theta[: m - 1], 0.0)
+    w = np.exp(logits - logits.max())
+    sg = np.maximum(np.exp(theta[2 * m - 1 :]), _SIGMA_FLOOR)
+    return w / w.sum(), theta[m - 1 : 2 * m - 1], sg
+
+
 def em_fit(
     data,
     n_components: int,
@@ -204,15 +256,22 @@ def em_fit(
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> tuple[GaussianMixture, FitReport]:
-    """Fit a univariate Gaussian mixture by EM with SQUAREM acceleration.
+    """Fit a univariate Gaussian mixture by EM with SQUAREM and Newton steps.
 
     EM runs on the distinct values of the data, each weighted by how often it
     occurs, which gives the same likelihood as the full sample.  Each cycle
+    is one SQUAREM step plus one safeguarded Newton step.  The SQUAREM step
     takes two plain EM steps, extrapolates along them in (log weight, mean,
     log sigma) space with the S3 step length of Varadhan & Roland (2008,
     Scand. J. Stat. 35:335), and applies one EM step to the extrapolated
     point; that point is kept only when its log-likelihood is at least the
-    second plain step's, so the trace never decreases.
+    second plain step's.  For two or more components the cycle ends with a
+    Newton step on the log-likelihood in (weight logit against the last
+    component, mean, log sigma) coordinates, as in the hybrid EM/Newton
+    scheme of Aitkin & Aitkin (1996, Stat. Comput. 6:127).  It is taken only
+    where the Hessian is negative definite, halved up to 8 times, and kept
+    only when its log-likelihood is at least the SQUAREM point's, so the
+    trace never decreases.
 
     Parameters
     ----------
@@ -223,16 +282,16 @@ def em_fit(
     tol : float
         Relative log-likelihood change per cycle below which EM may stop; it
         stops only when, in the same cycle, no weight, mean or sigma moved by
-        more than 1e-8.
+        more than 1e-8.  Must be nonnegative (not NaN).
     max_iter : int
-        Cap on SQUAREM cycles (at most three EM steps each); the fit is
-        flagged unconverged when reached.
+        Cap on cycles (one SQUAREM step and one Newton step each); the fit
+        is flagged unconverged when reached.
 
     Returns
     -------
     (GaussianMixture, FitReport)
         Fitted model with components sorted by ascending mean, plus the run
-        report, whose iterations count SQUAREM cycles.  The reported
+        report, whose iterations count cycles.  The reported
         log-likelihood always belongs to the returned parameters.
     """
     x = np.asarray(data, dtype=float).ravel()
@@ -245,8 +304,8 @@ def em_fit(
         raise ValidationError(
             f"EM needs more observations than components, got {x.size} <= {m}"
         )
-    if tol < 0:
-        raise ValidationError("tol must be nonnegative")
+    if not tol >= 0:  # also rejects NaN
+        raise ValidationError(f"tol must be nonnegative, got {tol!r}")
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
 
@@ -289,6 +348,18 @@ def em_fit(
                 ll3, resp3 = e_step(p3)
             if ll3 >= best[1]:
                 best = (p3, ll3, resp3)
+        # a degenerate point gives no step, and a NaN likelihood is rejected
+        with np.errstate(all="ignore"):
+            newton = _newton_step(atoms, counts, best[0], best[2]) if m > 1 else None
+            if newton is not None:
+                theta, step = newton
+                for _ in range(_NEWTON_HALVINGS + 1):
+                    p4 = _from_logits(theta + step, m)
+                    ll4, resp4 = e_step(p4)
+                    if ll4 >= best[1]:
+                        best = (p4, ll4, resp4)
+                        break
+                    step = step / 2.0
         moved = max(float(np.abs(new - old).max()) for new, old in zip(best[0], params))
         params, new_ll, resp = best
         trace.append(new_ll)

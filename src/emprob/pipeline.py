@@ -112,6 +112,10 @@ class PipelineConfig:
             raise ValidationError("n_components must be at least 1 (or null for automatic)")
         if self.m_max < 1:
             raise ValidationError("m_max must be at least 1")
+        if not self.em_tol >= 0:  # also rejects NaN
+            raise ValidationError(f"em_tol must be nonnegative, got {self.em_tol!r}")
+        if self.em_max_iter < 1:
+            raise ValidationError("em_max_iter must be at least 1")
         if self.band_approach not in (1, 2, 3):
             raise ValidationError("band_approach must be 1, 2, or 3")
         if self.prune_alpha < 0:

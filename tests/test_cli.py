@@ -9,7 +9,7 @@ import pytest
 
 import emprob
 from emprob import pipeline, read_scores_csv
-from emprob.cli import build_parser, config_from_args, main
+from emprob.cli import COMMANDS, build_parser, config_from_args, main
 from reference_data import write_unmerged_inputs
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -233,6 +233,9 @@ MALFORMED_INPUTS = {
     "m-max-not-an-integer": ("--config", {"m_max": "4"}),
     "config-not-json": ("--config", "{not json"),
     "weights-not-utf-8": ("--weights", b"doctor,a\xff\n"),
+    "em-tol-nan": ("--config", {"em_tol": float("nan")}),
+    "em-tol-negative": ("--config", {"em_tol": -1.0}),
+    "em-max-iter-zero": ("--config", {"em_max_iter": 0}),
 }
 
 
@@ -245,6 +248,20 @@ def test_malformed_input_exit_2(tmp_path, capsys, flag, content):
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main([flag, str(path), "enumerate"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+BAD_EM_FLAGS = {"em-tol-nan": ["--em-tol", "nan"], "em-tol-negative": ["--em-tol", "-1"],
+                "em-max-iter-zero": ["--em-max-iter", "0"]}
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "score-patient"]
+                         + [f"score-patient {ALL_FIRST}"])
+@pytest.mark.parametrize("flags", BAD_EM_FLAGS.values(), ids=BAD_EM_FLAGS)
+def test_bad_em_settings_exit_2(tmp_path, capsys, flags, command):
+    # rejected with the config, before any stage runs or any file is written
+    assert main([*flags, "--output-dir", str(tmp_path / "out"), *command.split()]) == 2
+    assert capsys.readouterr().err.startswith("error: em_")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_weights_exit_1(tmp_path, capsys):

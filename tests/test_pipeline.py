@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 import hashlib
@@ -248,6 +249,27 @@ def test_default_lattices_match_reference(result, tmp_path):
     for tag, (_, _, digest) in DEFAULT_LATTICES.items():
         dot = (tmp_path / f"lattice_{tag}.dot").read_bytes()
         assert hashlib.sha256(dot).hexdigest() == digest, tag
+
+
+# SHA-256 of the default trees' DOT files and of the category column of
+# scores.csv (labels joined by newlines), from the fits before each EM cycle
+# ended in a Newton step: the refined optimum moves no category
+DEFAULT_TREE_DIGESTS = {
+    "tree_full.dot": "704ceaf8ce9ade18f1ac67b19fd5fe45009d2cd41fdc0528e59f98c322a5a1bb",
+    "tree_pruned.dot": "cd1812f484281119e5d09aa61152c60d600c86c07f09ddea79e6459305e07d0a",
+}
+DEFAULT_CATEGORY_DIGEST = "a4747bd58d12947a1a8fc0660b3560cee465204edd3b573b4949870684e92b45"
+
+
+def test_default_trees_and_categories_match_reference(result, tmp_path):
+    pipeline.write_trees(result, tmp_path)
+    for name, digest in DEFAULT_TREE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    pipeline.write_scores(result, tmp_path)
+    with open(tmp_path / "scores.csv", newline="") as fh:
+        labels = [row["category"] for row in csv.DictReader(fh)]
+    assert len(labels) == 1536
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == DEFAULT_CATEGORY_DIGEST
 
 
 def test_equal_sums_get_identical_scores(result):
