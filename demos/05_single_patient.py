@@ -2,37 +2,18 @@
 Scoring one patient
 ===================
 
-The batch table covers the whole case space, but scoring a single answer
-combination needs no table: a model bundle (questionnaire, mean weights,
-normalization bounds, fitted models) scores any admissible case, exactly
-matching its batch row. The same path backs `emprob score-patient`.
+The batch table scores every admissible answer combination, so a single
+patient's scores are the table row of their combination: `score_patient`
+validates the answers and looks the row up by its canonical index. The same
+lookup backs `emprob score-patient`, which fits only the stages behind the
+table (one mixture and the kernel estimate; no tree, no lattices).
 """
 
-from emprob import (
-    KernelDensityEstimate,
-    ModelBundle,
-    default_questionnaire,
-    default_weight_matrix,
-    em_fit,
-    enumerate_cases,
-    mean_weights,
-    score_patient,
-    weight_sum_table,
-)
+from emprob import PipelineConfig, PipelineResult, score_patient
 
-questionnaire = default_questionnaire()
-vector = mean_weights(default_weight_matrix())
-table = weight_sum_table(enumerate_cases(questionnaire), vector)
-gmm, _ = em_fit(table.normalized, 2)
-
-bundle = ModelBundle(
-    questionnaire=questionnaire,
-    mean_weight_vector=vector,
-    raw_min=table.raw_min,
-    raw_max=table.raw_max,
-    gmm=gmm,
-    kde=KernelDensityEstimate.from_data(table.normalized),
-)
+result = PipelineResult(PipelineConfig())
+table = result.table
+vector = result.mean_weight_vector
 
 # three presentations: textbook-looking, all-favorable, and all-adverse
 patients = {
@@ -47,7 +28,7 @@ patients = {
     ),
 }
 for name, answers in patients.items():
-    ps = score_patient(answers, bundle)
+    ps = score_patient(answers, table)
     print(f"{name}:")
     print(f"  raw sum {ps.raw_sum:.4f}, normalized {ps.normalized:.4f}")
     print(
@@ -56,7 +37,5 @@ for name, answers in patients.items():
     )
     print(f"  category: {ps.category.name}")
 
-# a raw sum outside the fitted bounds is clamped and flagged rather than
-# extrapolated; with the shipped data the bounds are the observed extremes
-ps = score_patient(patients["every high-weight answer"], bundle)
-print(f"\nclamped for the extreme case: {ps.clamped}")
+print("\nstrongest answer:", max(vector.as_dict(), key=vector.value))
+print("weakest answer:  ", min(vector.as_dict(), key=vector.value))

@@ -140,8 +140,8 @@ def weight_sums(case_set: CaseSet, weights: AnswerWeightVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightSumTable:
-    """Raw and min-max normalized weight sums, with the bounds kept so that
-    single cases can be normalized identically later."""
+    """Raw and min-max normalized weight sums, with the bounds kept for the
+    fit report."""
 
     raw_sums: np.ndarray
     normalized: np.ndarray

@@ -53,7 +53,7 @@ _CONFIG_FLAGS = (
     ("--em-max-iter", "em_max_iter", int,
      "cap on EM cycles (SQUAREM plus one safeguarded Newton step) per fit; at least 1"),
     ("--prune-alpha", "prune_alpha", float, "cost-complexity pruning strength"),
-    ("--tree-max-depth", "tree_max_depth", int, "depth cap for the decision tree"),
+    ("--tree-max-depth", "tree_max_depth", int, "depth cap for the decision tree; nonnegative"),
     ("--min-samples-leaf", "min_samples_leaf", int, "smallest admissible leaf size"),
     ("--density-samples", "density_samples", int, "grid size for the density-curve export"),
     ("--band-approach", "band_approach", int, "score used for banding: 1, 2, or 3"),
@@ -102,12 +102,11 @@ def _print_patient(result: PipelineResult, args: argparse.Namespace) -> None:
         raise ValidationError("no answer ids given")
     case = CaseVector(true_answers=frozenset(ids))
     validate_case(case, result.questionnaire)  # before any model is fitted
-    ps = score_patient(case, result.bundle, thresholds=result.config.thresholds)
+    ps = score_patient(case, result.table)
     doc = {
         "answers": sorted(ps.case.true_answers),
         "raw_sum": ps.raw_sum,
         "normalized_sum": ps.normalized,
-        "clamped": ps.clamped,
         "p_gmm_cdf": ps.score_gmm_cdf,
         "p_kde_cdf": ps.score_kde_cdf,
         "p_posterior": ps.score_posterior,

@@ -206,13 +206,15 @@ def read_scores_csv(path: str | Path) -> ParsedScores:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValidationError(f"{path}: row {i} has {len(cells)} cells")
-        case_ids.append(int(cells[0]))
-        matrix[i] = [c == "1" for c in cells[1 : 1 + len(answer_ids)]]
-        floats[i] = [float(c) for c in cells[1 + len(answer_ids) : -1]]
+        if cells[-1] not in CATEGORY_NAMES:
+            raise ValidationError(f"{path}: row {i}: unknown category {cells[-1]!r}")
         try:
-            category[i] = CATEGORY_NAMES.index(cells[-1])
-        except ValueError:
-            raise ValidationError(f"{path}: unknown category {cells[-1]!r}") from None
+            case_ids.append(int(cells[0]))
+            floats[i] = [float(c) for c in cells[1 + len(answer_ids) : -1]]
+        except ValueError as e:
+            raise ValidationError(f"{path}: row {i}: {e}") from None
+        matrix[i] = [c == "1" for c in cells[1 : 1 + len(answer_ids)]]
+        category[i] = CATEGORY_NAMES.index(cells[-1])
     return ParsedScores(
         case_ids=tuple(case_ids),
         answer_ids=answer_ids,

@@ -53,12 +53,7 @@ from emprob.schema import (
     read_json_mapping,
     validate_weights,
 )
-from emprob.scoring import (
-    ModelBundle,
-    ScoreTable,
-    elicit_probabilities,
-    validate_thresholds,
-)
+from emprob.scoring import ScoreTable, elicit_probabilities, validate_thresholds
 from emprob.tree import TreeNode, fit_decision_tree, prune_tree
 
 DEFAULT_BANDS = tuple((i / 10, (i + 1) / 10) for i in range(10))
@@ -118,6 +113,8 @@ class PipelineConfig:
             raise ValidationError("em_max_iter must be at least 1")
         if self.band_approach not in (1, 2, 3):
             raise ValidationError("band_approach must be 1, 2, or 3")
+        if self.tree_max_depth is not None and self.tree_max_depth < 0:
+            raise ValidationError("tree_max_depth must be nonnegative (or null for no cap)")
         if self.prune_alpha < 0:
             raise ValidationError("prune_alpha must be nonnegative")
         if self.density_samples < 2:
@@ -209,17 +206,6 @@ class PipelineResult:
         )
 
     @cached_property
-    def bundle(self) -> ModelBundle:
-        return ModelBundle(
-            questionnaire=self.questionnaire,
-            mean_weight_vector=self.mean_weight_vector,
-            raw_min=self.sum_table.raw_min,
-            raw_max=self.sum_table.raw_max,
-            gmm=self.gmm,
-            kde=self.kde,
-        )
-
-    @cached_property
     def tree_full(self) -> TreeNode:
         return fit_decision_tree(
             self.case_set,
@@ -271,7 +257,7 @@ def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
 def prepare(cfg: PipelineConfig) -> PipelineResult:
     """Compute every pipeline stage in memory, writing nothing."""
     result = PipelineResult(cfg)
-    for stage in ("selection", "gmm_report", "bundle", "table", "tree_pruned", "lattices"):
+    for stage in ("selection", "gmm_report", "table", "tree_pruned", "lattices"):
         getattr(result, stage)
     return result
 

@@ -23,6 +23,8 @@ import numpy as np
 WEIGHT_MIN = -1.0
 WEIGHT_MAX = 3.0
 
+_ID_FORBIDDEN = ',;"\r\n'
+
 
 class ValidationError(ValueError):
     """Invalid input data: malformed schema, out-of-range or missing weights,
@@ -41,6 +43,13 @@ class AnswerOption:
     id: str
     label: str
     question_id: str
+
+    def __post_init__(self) -> None:
+        # ids become CSV cells, supports keys ("a;b") and CXT lines
+        if not self.id or any(ch in self.id for ch in _ID_FORBIDDEN):
+            raise ValidationError(
+                f"answer id {self.id!r} must be non-empty and contain none of , ; \" CR LF"
+            )
 
 
 @dataclass(frozen=True)

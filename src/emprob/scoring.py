@@ -10,10 +10,10 @@ Three scores are derived from the normalized weight sum x of a case:
 Scores map onto LOW / MEDIUM / HIGH categories by two thresholds; the
 table's category column comes from the gmm_cdf score, the consensus default.
 Batch scoring evaluates each distinct normalized sum once and gathers the
-scores back per case; single-case scoring runs the same elementwise code on
-one value, so a single case reproduces its batch row bit for bit.  With
-quarter-point weights every raw sum is the correctly rounded exact value, so
-cases with equal sums get identical scores.
+scores back per case.  With quarter-point weights every raw sum is the
+correctly rounded exact value, so cases with equal sums get identical scores.
+The table holds every admissible case, so scoring a single case is a lookup
+of its row at ``canonical_index``.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
-from emprob.cases import (
-    CaseSet,
-    CaseVector,
-    WeightSumTable,
-    validate_case,
-    weight_sum,
-)
-from emprob.density import FitReport, GaussianMixture, KernelDensityEstimate
-from emprob.schema import AnswerWeightVector, Questionnaire, ValidationError
+from emprob.cases import CaseSet, CaseVector, WeightSumTable, canonical_index
+from emprob.density import GaussianMixture, KernelDensityEstimate
+from emprob.schema import ValidationError
 
 DEFAULT_THRESHOLDS = (0.33, 0.68)
 
@@ -102,8 +96,6 @@ class ScoreTable:
     case_set: CaseSet
     raw_sums: np.ndarray
     normalized: np.ndarray
-    raw_min: float
-    raw_max: float
     score_gmm_cdf: np.ndarray
     score_kde_cdf: np.ndarray
     score_posterior: np.ndarray
@@ -139,23 +131,6 @@ class ScoreTable:
         return self.scores(APPROACHES[approach])
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    """Everything needed to score one patient exactly like the batch run:
-    the schema, mean weights, normalization bounds, and fitted models."""
-
-    questionnaire: Questionnaire
-    mean_weight_vector: AnswerWeightVector
-    raw_min: float
-    raw_max: float
-    gmm: GaussianMixture
-    kde: KernelDensityEstimate
-
-    def __post_init__(self) -> None:
-        if not self.raw_min < self.raw_max:
-            raise ValidationError("normalization bounds must satisfy min < max")
-
-
 def elicit_probabilities(
     table: WeightSumTable,
     gmm: GaussianMixture,
@@ -179,8 +154,6 @@ def elicit_probabilities(
         case_set=table.case_set,
         raw_sums=table.raw_sums,
         normalized=x,
-        raw_min=table.raw_min,
-        raw_max=table.raw_max,
         score_gmm_cdf=p1,
         score_kde_cdf=kde.cdf(atoms)[inverse],
         score_posterior=gmm.posterior(atoms, ill_component(gmm))[inverse],
@@ -196,44 +169,28 @@ class PatientScore:
     case: CaseVector
     raw_sum: float
     normalized: float
-    clamped: bool
     score_gmm_cdf: float
     score_kde_cdf: float
     score_posterior: float
     category: ProbabilityCategory
 
 
-def score_patient(
-    case: CaseVector | Iterable[str],
-    bundle: ModelBundle,
-    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-) -> PatientScore:
-    """Score a single admissible case against an existing batch fit.
+def score_patient(case: CaseVector | Iterable[str], table: ScoreTable) -> PatientScore:
+    """The row of a score table for one admissible case.
 
-    Uses the bundle's normalization bounds and fitted models, so a case from
-    the enumerated space reproduces its batch table row exactly.  A raw sum
-    outside the bounds (possible only with weights other than those the
-    bundle was built from) clamps the normalized value into [0, 1] and sets
-    the warning flag.
+    The table holds every case of its questionnaire, so the case is
+    validated and its row found at ``canonical_index``; the category is the
+    table's, under the table's thresholds.
     """
     if not isinstance(case, CaseVector):
         case = CaseVector(true_answers=frozenset(case))
-    validate_case(case, bundle.questionnaire)
-    raw = weight_sum(case, bundle.mean_weight_vector)
-    x = (raw - bundle.raw_min) / (bundle.raw_max - bundle.raw_min)
-    clamped = False
-    if x < 0.0:
-        x, clamped = 0.0, True
-    elif x > 1.0:
-        x, clamped = 1.0, True
-    p1 = float(bundle.gmm.cdf(x))
+    i = canonical_index(case, table.case_set.questionnaire)
     return PatientScore(
         case=case,
-        raw_sum=raw,
-        normalized=x,
-        clamped=clamped,
-        score_gmm_cdf=p1,
-        score_kde_cdf=float(bundle.kde.cdf(x)),
-        score_posterior=float(bundle.gmm.posterior(x, ill_component(bundle.gmm))),
-        category=categorize(p1, thresholds),
+        raw_sum=float(table.raw_sums[i]),
+        normalized=float(table.normalized[i]),
+        score_gmm_cdf=float(table.score_gmm_cdf[i]),
+        score_kde_cdf=float(table.score_kde_cdf[i]),
+        score_posterior=float(table.score_posterior[i]),
+        category=ProbabilityCategory(int(table.category[i])),
     )

@@ -11,8 +11,7 @@ the same inputs is deterministic down to the last node.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -210,32 +209,29 @@ def tree_depth(root: TreeNode) -> int:
     return max(n.depth for n in iter_nodes(root))
 
 
-def _leaf_error(node: TreeNode) -> int:
-    return node.n_samples - max(node.counts)
-
-
-def _subtree_error(node: TreeNode) -> int:
+def _copy(node: TreeNode) -> TreeNode:
     if node.is_leaf:
-        return _leaf_error(node)
-    return _subtree_error(node.true_child) + _subtree_error(node.false_child)
+        return replace(node)
+    return replace(node, true_child=_copy(node.true_child), false_child=_copy(node.false_child))
 
 
-def _subtree_leaves(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 1
-    return _subtree_leaves(node.true_child) + _subtree_leaves(node.false_child)
+def _links(root: TreeNode, n_total: int) -> list[tuple[TreeNode, Fraction]]:
+    """Every internal node with its link strength g, from one post-order
+    pass that sums each subtree's errors and leaves once."""
+    links = []
 
+    def walk(node: TreeNode) -> tuple[int, int]:  # (subtree error, leaves)
+        leaf_error = node.n_samples - max(node.counts)
+        if node.is_leaf:
+            return leaf_error, 1
+        e_true, l_true = walk(node.true_child)
+        e_false, l_false = walk(node.false_child)
+        error, leaves = e_true + e_false, l_true + l_false
+        links.append((node, Fraction(leaf_error - error, n_total * (leaves - 1))))
+        return error, leaves
 
-def _weakest_link(node: TreeNode, n_total: int) -> Fraction | None:
-    """Minimal g over internal nodes of this subtree, None for a leaf."""
-    if node.is_leaf:
-        return None
-    g = Fraction(_leaf_error(node) - _subtree_error(node), n_total * (_subtree_leaves(node) - 1))
-    for child in (node.true_child, node.false_child):
-        cg = _weakest_link(child, n_total)
-        if cg is not None and cg < g:
-            g = cg
-    return g
+    walk(root)
+    return links
 
 
 def prune_tree(root: TreeNode, alpha: float, n_total: int | None = None) -> TreeNode:
@@ -249,32 +245,20 @@ def prune_tree(root: TreeNode, alpha: float, n_total: int | None = None) -> Tree
     """
     if alpha < 0:
         raise ValidationError("alpha must be nonnegative")
-    root = copy.deepcopy(root)
+    root = _copy(root)
     if n_total is None:
         n_total = root.n_samples
-
-    def collapse_equal(node: TreeNode, g_min: Fraction) -> None:
-        if node.is_leaf:
-            return
-        g = Fraction(
-            _leaf_error(node) - _subtree_error(node),
-            n_total * (_subtree_leaves(node) - 1),
-        )
-        if g == g_min:
-            node.split_answer_index = None
-            node.split_answer_id = None
-            node.gain = None
-            node.true_child = None
-            node.false_child = None
-            return
-        collapse_equal(node.true_child, g_min)
-        collapse_equal(node.false_child, g_min)
-
     while not root.is_leaf:
-        g_min = _weakest_link(root, n_total)
-        if g_min is None or not (g_min < alpha):
+        links = _links(root, n_total)
+        g_min = min(g for _, g in links)
+        if not g_min < alpha:
             break
-        collapse_equal(root, g_min)
+        # a node inside a collapsed subtree is collapsed too, harmlessly:
+        # it is a copy and no longer reachable
+        for node, g in links:
+            if g == g_min:
+                node.split_answer_index = node.split_answer_id = node.gain = None
+                node.true_child = node.false_child = None
     return root
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from emprob import (
     KernelDensityEstimate,
-    ModelBundle,
     default_questionnaire,
     default_weight_matrix,
     elicit_probabilities,
@@ -71,15 +70,3 @@ def reference_score_table(sum_table, kde):
 @pytest.fixture(scope="session")
 def tree_full(case_set, score_table):
     return fit_decision_tree(case_set, score_table.category)
-
-
-@pytest.fixture(scope="session")
-def bundle(questionnaire, mean_vector, sum_table, gmm, kde):
-    return ModelBundle(
-        questionnaire=questionnaire,
-        mean_weight_vector=mean_vector,
-        raw_min=sum_table.raw_min,
-        raw_max=sum_table.raw_max,
-        gmm=gmm,
-        kde=kde,
-    )

@@ -108,7 +108,8 @@ def test_score_patient(tmp_path, capsys):
     assert doc["answers"] == sorted(ALL_FIRST.split(","))
     assert doc["raw_sum"] == 7.2
     assert doc["normalized_sum"] == 0.6461538461538462
-    assert doc["clamped"] is False
+    assert set(doc) == {"answers", "raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf",
+                        "p_posterior", "category"}
     for key in ("p_gmm_cdf", "p_kde_cdf", "p_posterior"):
         assert 0.0 <= doc[key] <= 1.0
     assert doc["category"] in ("LOW", "MEDIUM", "HIGH")
@@ -236,6 +237,7 @@ MALFORMED_INPUTS = {
     "em-tol-nan": ("--config", {"em_tol": float("nan")}),
     "em-tol-negative": ("--config", {"em_tol": -1.0}),
     "em-max-iter-zero": ("--config", {"em_max_iter": 0}),
+    "tree-max-depth-negative": ("--config", {"tree_max_depth": -1}),
 }
 
 
@@ -248,6 +250,30 @@ def test_malformed_input_exit_2(tmp_path, capsys, flag, content):
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main([flag, str(path), "enumerate"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+SHIPPED_WEIGHTS = (Path(emprob.__file__).parent / "data" / "weights.csv").read_text()
+
+
+@pytest.mark.parametrize("answer_id", ["x,y", "x;y", "x\ny", "x\ry", 'x"y', ""],
+                         ids=["comma", "semicolon", "newline", "carriage-return", "quote",
+                              "empty"])
+def test_answer_id_that_breaks_written_files_exit_2(tmp_path, capsys, answer_id):
+    """An answer id that cannot be a CSV cell, a supports key ("a;b") or a
+    CXT line is rejected as the questionnaire is read, before any stage."""
+    escaped = json.dumps(answer_id)[1:-1]
+    (tmp_path / "questionnaire.json").write_text(
+        json.dumps(SHIPPED_QUESTIONNAIRE).replace("a_4_q2", escaped))
+    header, body = SHIPPED_WEIGHTS.split("\n", 1)
+    cells = ['"' + answer_id.replace('"', '""') + '"' if c == "a_4_q2" else c
+             for c in header.split(",")]
+    (tmp_path / "weights.csv").write_text(",".join(cells) + "\n" + body)
+    out = tmp_path / "out"
+    assert main(["--questionnaire", str(tmp_path / "questionnaire.json"),
+                 "--weights", str(tmp_path / "weights.csv"),
+                 "--output-dir", str(out), "report"]) == 2
+    assert capsys.readouterr().err.startswith("error: answer id")
+    assert not (out.exists() and any(out.iterdir()))
 
 
 BAD_EM_FLAGS = {"em-tol-nan": ["--em-tol", "nan"], "em-tol-negative": ["--em-tol", "-1"],

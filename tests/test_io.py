@@ -130,6 +130,10 @@ def test_read_scores_csv_errors(tmp_path):
     path.write_text(header + "0,1,0.5,0.5,0.5,0.5,0.5,BOGUS\n")
     with pytest.raises(ValidationError):
         read_scores_csv(path)
+    for row in ("0,1,0.5,0.5,abc,0.5,0.5,LOW", "x0,1,0.5,0.5,0.5,0.5,0.5,LOW"):
+        path.write_text(header + row + "\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv: row 0"):
+            read_scores_csv(path)
 
 
 def test_density_samples_csv(gmm, kde, tmp_path):

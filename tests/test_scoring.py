@@ -4,7 +4,6 @@ from numpy.testing import assert_array_equal
 
 from emprob import (
     CaseVector,
-    ModelBundle,
     ProbabilityCategory,
     ValidationError,
     categorize,
@@ -102,78 +101,47 @@ def test_posterior_dominates_spot_check(score_table):
     assert (score_table.score_posterior[idx] > score_table.score_kde_cdf[idx]).all()
 
 
-def test_model_bundle_validates_bounds(questionnaire, mean_vector, gmm, kde):
-    with pytest.raises(ValidationError):
-        ModelBundle(
-            questionnaire=questionnaire,
-            mean_weight_vector=mean_vector,
-            raw_min=1.0,
-            raw_max=1.0,
-            gmm=gmm,
-            kde=kde,
-        )
-
-
-def test_score_patient_matches_table_rows(bundle, score_table, case_set, questionnaire):
-    # every row: the table scores each distinct sum once and gathers, while
-    # a single patient is scored on its own
+def test_score_patient_matches_table_rows(score_table, case_set):
     for i in range(len(case_set)):
-        ps = score_patient(case_set.case(i), bundle)
+        ps = score_patient(case_set.case(i), score_table)
         assert ps.raw_sum == score_table.raw_sums[i]
         assert ps.normalized == score_table.normalized[i]
         assert ps.score_gmm_cdf == score_table.score_gmm_cdf[i]
         assert ps.score_kde_cdf == score_table.score_kde_cdf[i]
         assert ps.score_posterior == score_table.score_posterior[i]
         assert ps.category == score_table.category[i]
-        assert not ps.clamped
 
 
-def test_score_patient_reference_extremes(
-    questionnaire, mean_vector, sum_table, kde
-):
-    bundle = ModelBundle(
-        questionnaire=questionnaire,
-        mean_weight_vector=mean_vector,
-        raw_min=sum_table.raw_min,
-        raw_max=sum_table.raw_max,
-        gmm=REFERENCE_GMM,
-        kde=kde,
-    )
-    top = score_patient(MAX_CASE, bundle)
+def test_score_patient_reference_extremes(reference_score_table):
+    top = score_patient(MAX_CASE, reference_score_table)
     assert top.normalized == 1.0
     assert top.score_gmm_cdf == pytest.approx(0.998, abs=5e-4)
-    bottom = score_patient(MIN_CASE, bundle)
+    bottom = score_patient(MIN_CASE, reference_score_table)
     assert bottom.normalized == 0.0
     assert bottom.score_gmm_cdf == pytest.approx(0.0010, abs=5e-5)
     assert bottom.category is ProbabilityCategory.LOW
 
 
-def test_score_patient_accepts_answer_ids(bundle):
-    ps = score_patient(sorted(MAX_CASE.true_answers), bundle)
+def test_score_patient_uses_the_table_thresholds(sum_table, gmm, kde, case_set):
+    # rows whose category differs between the default thresholds and these
+    table = elicit_probabilities(sum_table, gmm, kde, thresholds=(0.2, 0.5))
+    p1 = table.score_gmm_cdf
+    moved = np.flatnonzero(((p1 >= 0.2) & (p1 < 0.33)) | ((p1 >= 0.5) & (p1 < 0.68)))
+    assert moved.size
+    for i in moved[:: max(1, moved.size // 20)]:
+        ps = score_patient(case_set.case(i), table)
+        assert ps.category is categorize(ps.score_gmm_cdf, (0.2, 0.5))
+        assert ps.category is not categorize(ps.score_gmm_cdf)
+
+
+def test_score_patient_accepts_answer_ids(score_table):
+    ps = score_patient(sorted(MAX_CASE.true_answers), score_table)
     assert ps.case == MAX_CASE
 
 
-def test_score_patient_rejects_invalid_case(bundle):
+def test_score_patient_rejects_invalid_case(score_table):
     bad = CaseVector(
         frozenset({"a_1_q1", "a_1_q2", "a_1_q3", "a_1_q4", "a_2_q4", "a_1_q5", "a_1_q6"})
     )
     with pytest.raises(ValidationError):
-        score_patient(bad, bundle)
-
-
-def test_score_patient_clamps_out_of_range(questionnaire, mean_vector, gmm, kde):
-    # artificially tight bounds force raw sums outside [min, max]
-    tight = ModelBundle(
-        questionnaire=questionnaire,
-        mean_weight_vector=mean_vector,
-        raw_min=0.0,
-        raw_max=1.0,
-        gmm=gmm,
-        kde=kde,
-    )
-    high = score_patient(MAX_CASE, tight)
-    assert high.clamped
-    assert high.normalized == 1.0
-    low = score_patient(MIN_CASE, tight)
-    assert low.clamped
-    assert low.normalized == 0.0
+        score_patient(bad, score_table)

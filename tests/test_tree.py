@@ -13,6 +13,7 @@ from emprob import (
     predict_matrix,
     prune_tree,
     tree_depth,
+    tree_to_dot,
 )
 
 IDS3 = ("f0", "f1", "f2")
@@ -172,3 +173,17 @@ def test_prune_monotone_and_preserves_root(tree_full):
     assert node_count(tree_full) == before  # input tree untouched
     pruned = prune_tree(tree_full, 0.01)
     assert (node_count(pruned), leaf_count(pruned), tree_depth(pruned)) == (25, 13, 5)
+
+
+PRUNED_SIZES = {  # alpha -> (nodes, leaves) of the pruned default tree
+    0.001: (117, 59), 0.002: (73, 37), 0.005: (37, 19),
+    0.01: (25, 13), 0.02: (11, 6), 0.05: (5, 3),
+}
+
+
+def test_prune_default_tree_sizes(tree_full):
+    before = tree_to_dot(tree_full)
+    for alpha, sizes in PRUNED_SIZES.items():
+        pruned = prune_tree(tree_full, alpha)
+        assert (node_count(pruned), leaf_count(pruned)) == sizes, alpha
+    assert tree_to_dot(tree_full) == before  # no node of the input changed
