@@ -46,16 +46,7 @@ _CONFIG_FLAGS = (
     ("--weights", "weights_path", str, "weight matrix CSV path (default: shipped data)"),
     ("--output-dir", "output_dir", str, "directory for written artifacts"),
     ("--m-max", "m_max", int, "largest component count to try during selection"),
-    ("--em-tol", "em_tol", float,
-     "EM stops once a cycle (SQUAREM plus one safeguarded Newton step) changes the "
-     "log-likelihood by at most this, relative, and no parameter by more than 1e-8; "
-     "nonnegative"),
-    ("--em-max-iter", "em_max_iter", int,
-     "cap on EM cycles (SQUAREM plus one safeguarded Newton step) per fit; at least 1"),
     ("--prune-alpha", "prune_alpha", float, "cost-complexity pruning strength"),
-    ("--tree-max-depth", "tree_max_depth", int, "depth cap for the decision tree; nonnegative"),
-    ("--min-samples-leaf", "min_samples_leaf", int, "smallest admissible leaf size"),
-    ("--density-samples", "density_samples", int, "grid size for the density-curve export"),
     ("--band-approach", "band_approach", int, "score used for banding: 1, 2, or 3"),
     ("--n-components", "n_components", _n_components,
      "mixture size, or 'auto' to pick by information criterion"),

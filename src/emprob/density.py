@@ -384,13 +384,7 @@ def em_fit(
     return model, report
 
 
-def select_component_count(
-    data,
-    *,
-    m_max: int = 4,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-) -> ComponentSelection:
+def select_component_count(data, *, m_max: int = 4) -> ComponentSelection:
     """Fit mixtures for 1..m_max components and compare information criteria.
 
     The returned best_m minimizes BIC; when AIC prefers a different count the
@@ -399,7 +393,7 @@ def select_component_count(
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
     return ComponentSelection.from_reports(
-        [em_fit(data, m, tol=tol, max_iter=max_iter)[1] for m in range(1, m_max + 1)]
+        [em_fit(data, m)[1] for m in range(1, m_max + 1)]
     )
 
 
@@ -471,17 +465,24 @@ class KernelDensityEstimate:
     def n_points(self) -> int:
         return self._n
 
+    # pdf and cdf work in place in one (point, atom) grid, so that no second
+    # grid of that size is alive at once
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self._atoms) / self.bandwidth
+        k = np.asarray(x, dtype=float)[..., None] - self._atoms
+        k /= self.bandwidth
         with np.errstate(over="ignore"):
-            k = np.exp(-0.5 * z * z)
-        out = (k * self._counts).sum(axis=-1) / self._n / (self.bandwidth * np.sqrt(2.0 * np.pi))
+            k *= k
+        k *= -0.5
+        np.exp(k, out=k)
+        k *= self._counts
+        out = k.sum(axis=-1) / self._n / (self.bandwidth * np.sqrt(2.0 * np.pi))
         return out if out.ndim else float(out)
 
     def cdf(self, x):
         """Average of kernel CDFs: (1/n) sum Phi((x - x_t) / h)."""
-        x = np.asarray(x, dtype=float)
-        k = ndtr((x[..., None] - self._atoms) / self.bandwidth)
-        out = (k * self._counts).sum(axis=-1) / self._n
+        k = np.asarray(x, dtype=float)[..., None] - self._atoms
+        k /= self.bandwidth
+        ndtr(k, out=k)
+        k *= self._counts
+        out = k.sum(axis=-1) / self._n
         return out if out.ndim else float(out)

@@ -81,7 +81,7 @@ def _dot_label(parts: Sequence[str]) -> str:
     return '"' + "\\n".join(_dot_escape(p) for p in parts) + '"'
 
 
-def tree_to_dot(root: TreeNode, category_names: Sequence[str] = CATEGORY_NAMES) -> str:
+def tree_to_dot(root: TreeNode) -> str:
     """Render a decision tree as a DOT digraph.
 
     Every node shows its majority category with that category's percentage
@@ -96,7 +96,7 @@ def tree_to_dot(root: TreeNode, category_names: Sequence[str] = CATEGORY_NAMES) 
         nid = ids[id(node)]
         pct = node.percentages[node.prediction]
         majority = (
-            f"{category_names[node.prediction]} {pct:.1f}% "
+            f"{CATEGORY_NAMES[node.prediction]} {pct:.1f}% "
             f"({node.counts[node.prediction]} of {node.n_samples})"
         )
         counts = "counts " + "/".join(str(c) for c in node.counts)
@@ -228,11 +228,11 @@ def read_scores_csv(path: str | Path) -> ParsedScores:
     )
 
 
-def export_density_samples_csv(gmm, kde, path: str | Path,
-                               n_samples: int = 1001) -> None:
-    """Tabulate the fitted curves on an even grid over [0, 1]: mixture pdf,
-    each weighted component pdf, kernel pdf, and the three score curves."""
-    xs = np.linspace(0.0, 1.0, n_samples)
+def export_density_samples_csv(gmm, kde, path: str | Path) -> None:
+    """Tabulate the fitted curves on an even 1001-point grid over [0, 1]:
+    mixture pdf, each weighted component pdf, kernel pdf, and the three score
+    curves."""
+    xs = np.linspace(0.0, 1.0, 1001)
     comp = gmm.component_pdfs(xs)
     curves = [("gmm_pdf", gmm.pdf(xs))]
     curves.extend(

@@ -72,15 +72,10 @@ class PipelineConfig:
     merge_rules: tuple[Mapping, ...] = ()
     n_components: int | None = 2
     m_max: int = 4
-    em_tol: float = 1e-9
-    em_max_iter: int = 10000
     thresholds: tuple[float, float] = (0.33, 0.68)
     bands: tuple[tuple[float, float], ...] = DEFAULT_BANDS
     band_approach: int = 1
     prune_alpha: float = 0.01
-    tree_max_depth: int | None = None
-    min_samples_leaf: int = 1
-    density_samples: int = 1001
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -107,20 +102,10 @@ class PipelineConfig:
             raise ValidationError("n_components must be at least 1 (or null for automatic)")
         if self.m_max < 1:
             raise ValidationError("m_max must be at least 1")
-        if not self.em_tol >= 0:  # also rejects NaN
-            raise ValidationError(f"em_tol must be nonnegative, got {self.em_tol!r}")
-        if self.em_max_iter < 1:
-            raise ValidationError("em_max_iter must be at least 1")
         if self.band_approach not in (1, 2, 3):
             raise ValidationError("band_approach must be 1, 2, or 3")
-        if self.tree_max_depth is not None and self.tree_max_depth < 0:
-            raise ValidationError("tree_max_depth must be nonnegative (or null for no cap)")
-        if self.prune_alpha < 0:
-            raise ValidationError("prune_alpha must be nonnegative")
-        if self.density_samples < 2:
-            raise ValidationError("density_samples must be at least 2")
-        if self.min_samples_leaf < 1:
-            raise ValidationError("min_samples_leaf must be at least 1")
+        if not self.prune_alpha >= 0:  # also rejects NaN
+            raise ValidationError(f"prune_alpha must be nonnegative, got {self.prune_alpha!r}")
 
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "PipelineConfig":
@@ -173,9 +158,7 @@ class PipelineResult:
         """The m-component EM fit on the normalized sums; each m is fitted
         at most once, so the selection and the chosen mixture share fits."""
         if m not in self._mixtures:
-            cfg = self.config
-            self._mixtures[m] = em_fit(self.sum_table.normalized, m, tol=cfg.em_tol,
-                                       max_iter=cfg.em_max_iter)
+            self._mixtures[m] = em_fit(self.sum_table.normalized, m)
         return self._mixtures[m]
 
     @cached_property
@@ -207,12 +190,7 @@ class PipelineResult:
 
     @cached_property
     def tree_full(self) -> TreeNode:
-        return fit_decision_tree(
-            self.case_set,
-            self.table.category,
-            max_depth=self.config.tree_max_depth,
-            min_samples_leaf=self.config.min_samples_leaf,
-        )
+        return fit_decision_tree(self.case_set, self.table.category)
 
     @cached_property
     def tree_pruned(self) -> TreeNode:
@@ -309,6 +287,7 @@ def band_tag(band: tuple[float, float]) -> str:
 
 
 def _output_dir(result: PipelineResult, output_dir: str | Path | None) -> Path:
+    result.questionnaire  # inputs that fail to load leave no directory behind
     out = Path(result.config.output_dir if output_dir is None else output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -326,7 +305,7 @@ def write_fit(result: PipelineResult, output_dir: str | Path | None = None) -> l
     out = _output_dir(result, output_dir)
     report, samples = out / "fit_report.json", out / "density_samples.csv"
     eio.write_json(fit_report_document(result), report)
-    eio.export_density_samples_csv(result.gmm, result.kde, samples, result.config.density_samples)
+    eio.export_density_samples_csv(result.gmm, result.kde, samples)
     return [report, samples]
 
 

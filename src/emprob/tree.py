@@ -20,6 +20,9 @@ import numpy as np
 from emprob.cases import CaseSet, CaseVector
 from emprob.schema import ValidationError
 
+# labels are categories LOW, MEDIUM, HIGH
+_N_LABELS = 3
+
 
 @dataclass
 class TreeNode:
@@ -70,10 +73,6 @@ def build_tree(
     matrix: np.ndarray,
     labels: np.ndarray,
     answer_ids: Sequence[str],
-    *,
-    n_labels: int = 3,
-    max_depth: int | None = None,
-    min_samples_leaf: int = 1,
 ) -> TreeNode:
     """Grow a full binary Gini tree.
 
@@ -82,18 +81,13 @@ def build_tree(
     matrix : bool array, shape (n_cases, n_answers)
         Answer indicators, columns in questionnaire order.
     labels : int array, shape (n_cases,)
-        Class of each case, values in [0, n_labels).
+        Category of each case, values in [0, 3).
     answer_ids : sequence of str
         Column names, used to label splits.
-    n_labels : int
-        Number of classes.
-    max_depth : int or None
-        Optional growth cap; None grows until nodes are pure or unsplittable.
-    min_samples_leaf : int
-        Smallest admissible child size for a split.
 
-    A node splits only when some partition strictly lowers the weighted Gini
-    impurity, compared in exact rational arithmetic.
+    A node splits only when some partition into two non-empty children
+    strictly lowers the weighted Gini impurity, compared in exact rational
+    arithmetic; growth stops at nodes that are pure or unsplittable.
     """
     matrix = np.asarray(matrix, dtype=bool)
     labels = np.asarray(labels)
@@ -103,14 +97,12 @@ def build_tree(
         raise ValidationError("labels length does not match matrix rows")
     if matrix.shape[0] == 0:
         raise ValidationError("cannot build a tree from zero cases")
-    if labels.min() < 0 or labels.max() >= n_labels:
-        raise ValidationError(f"labels must lie in [0, {n_labels})")
-    if min_samples_leaf < 1:
-        raise ValidationError("min_samples_leaf must be at least 1")
+    if labels.min() < 0 or labels.max() >= _N_LABELS:
+        raise ValidationError(f"labels must lie in [0, {_N_LABELS})")
     answer_ids = tuple(answer_ids)
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        node_counts = tuple(int(c) for c in np.bincount(labels[idx], minlength=n_labels))
+        node_counts = tuple(int(c) for c in np.bincount(labels[idx], minlength=_N_LABELS))
         node = TreeNode(
             counts=node_counts,
             prediction=_majority(node_counts),
@@ -120,8 +112,6 @@ def build_tree(
         n = int(idx.size)
         parent_sq = sum(c * c for c in node_counts)
         if max(node_counts) == n:  # pure
-            return node
-        if max_depth is not None and depth >= max_depth:
             return node
 
         # S(split) = sum(cL^2)/nL + sum(cR^2)/nR as an exact fraction;
@@ -133,10 +123,10 @@ def build_tree(
         for j in range(len(answer_ids)):
             col = matrix[idx, j]
             n_left = int(col.sum())
-            if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
+            if not 0 < n_left < n:
                 continue
             left_counts = tuple(
-                int(c) for c in np.bincount(labels[idx[col]], minlength=n_labels)
+                int(c) for c in np.bincount(labels[idx[col]], minlength=_N_LABELS)
             )
             right_counts = tuple(a - b for a, b in zip(node_counts, left_counts))
             n_right = n - n_left
@@ -167,23 +157,9 @@ def build_tree(
     return grow(np.arange(matrix.shape[0]), 0)
 
 
-def fit_decision_tree(
-    cases: CaseSet,
-    categories: np.ndarray,
-    *,
-    n_labels: int = 3,
-    max_depth: int | None = None,
-    min_samples_leaf: int = 1,
-) -> TreeNode:
+def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:
     """Grow a tree explaining per-case categories by answer indicators."""
-    return build_tree(
-        cases.matrix,
-        np.asarray(categories),
-        cases.answer_ids,
-        n_labels=n_labels,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-    )
+    return build_tree(cases.matrix, np.asarray(categories), cases.answer_ids)
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
@@ -215,10 +191,11 @@ def _copy(node: TreeNode) -> TreeNode:
     return replace(node, true_child=_copy(node.true_child), false_child=_copy(node.false_child))
 
 
-def _links(root: TreeNode, n_total: int) -> list[tuple[TreeNode, Fraction]]:
+def _links(root: TreeNode) -> list[tuple[TreeNode, Fraction]]:
     """Every internal node with its link strength g, from one post-order
     pass that sums each subtree's errors and leaves once."""
     links = []
+    n_total = root.n_samples
 
     def walk(node: TreeNode) -> tuple[int, int]:  # (subtree error, leaves)
         leaf_error = node.n_samples - max(node.counts)
@@ -234,22 +211,20 @@ def _links(root: TreeNode, n_total: int) -> list[tuple[TreeNode, Fraction]]:
     return links
 
 
-def prune_tree(root: TreeNode, alpha: float, n_total: int | None = None) -> TreeNode:
+def prune_tree(root: TreeNode, alpha: float) -> TreeNode:
     """Minimal cost-complexity pruning.
 
     Repeatedly collapses every internal node whose link strength
     g(t) = (R_leaf(t) - R_subtree(t)) / (leaves(t) - 1), with errors
-    normalized by the total sample count, is the current minimum, while that
+    normalized by the root's sample count, is the current minimum, while that
     minimum stays strictly below alpha.  alpha=0 returns an unchanged copy.
     The input tree is not modified.
     """
-    if alpha < 0:
-        raise ValidationError("alpha must be nonnegative")
+    if not alpha >= 0:  # also rejects NaN
+        raise ValidationError(f"alpha must be nonnegative, got {alpha!r}")
     root = _copy(root)
-    if n_total is None:
-        n_total = root.n_samples
     while not root.is_leaf:
-        links = _links(root, n_total)
+        links = _links(root)
         g_min = min(g for _, g in links)
         if not g_min < alpha:
             break

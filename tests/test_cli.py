@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,12 +10,12 @@ import pytest
 
 import emprob
 from emprob import pipeline, read_scores_csv
-from emprob.cli import COMMANDS, build_parser, config_from_args, main
+from emprob.cli import _CONFIG_FLAGS, COMMANDS, build_parser, config_from_args, main
 from reference_data import write_unmerged_inputs
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
-CHEAP_FLAGS = ["--n-components", "1", "--m-max", "1", "--density-samples", "11"]
+CHEAP_FLAGS = ["--n-components", "1", "--m-max", "1"]
 ALL_FIRST = "a_1_q1,a_1_q2,a_1_q3,a_1_q4,a_1_q5,a_1_q6"
 
 
@@ -36,7 +37,7 @@ def test_fit(tmp_path, capsys):
     assert report["selected_components"] == 1
     assert len(report["selection"]["candidates"]) == 1
     samples = (tmp_path / "density_samples.csv").read_text().splitlines()
-    assert len(samples) == 12
+    assert len(samples) == 1002
 
 
 def test_score(tmp_path, capsys):
@@ -200,6 +201,19 @@ def test_flag_overrides_config_file(tmp_path):
     assert cfg.output_dir == "from_file"
 
 
+def test_config_flags_match_config_fields():
+    """Every config flag sets a config field, and the only fields without
+    one are those a flag cannot carry plus thresholds, which has its own
+    two-value flag; a new setting gets a flag, or not, on purpose."""
+    keys = [key for _, key, _, _ in _CONFIG_FLAGS]
+    names = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    assert len(set(keys)) == len(keys)
+    assert set(keys) <= names
+    assert names - set(keys) == {"merge_rules", "bands", "thresholds"}
+    args = build_parser().parse_args(["--thresholds", "0.2", "0.5", "enumerate"])
+    assert config_from_args(args).thresholds == (0.2, 0.5)
+
+
 def test_n_components_auto_flag():
     args = build_parser().parse_args(["--n-components", "auto", "enumerate"])
     assert config_from_args(args).n_components is None
@@ -234,6 +248,8 @@ MALFORMED_INPUTS = {
     "m-max-not-an-integer": ("--config", {"m_max": "4"}),
     "config-not-json": ("--config", "{not json"),
     "weights-not-utf-8": ("--weights", b"doctor,a\xff\n"),
+    "prune-alpha-nan": ("--config", {"prune_alpha": float("nan")}),
+    # settings that are now constants: unknown config keys
     "em-tol-nan": ("--config", {"em_tol": float("nan")}),
     "em-tol-negative": ("--config", {"em_tol": -1.0}),
     "em-max-iter-zero": ("--config", {"em_max_iter": 0}),
@@ -273,21 +289,44 @@ def test_answer_id_that_breaks_written_files_exit_2(tmp_path, capsys, answer_id)
                  "--weights", str(tmp_path / "weights.csv"),
                  "--output-dir", str(out), "report"]) == 2
     assert capsys.readouterr().err.startswith("error: answer id")
-    assert not (out.exists() and any(out.iterdir()))
+    assert not out.exists()
 
 
-BAD_EM_FLAGS = {"em-tol-nan": ["--em-tol", "nan"], "em-tol-negative": ["--em-tol", "-1"],
-                "em-max-iter-zero": ["--em-max-iter", "0"]}
+def test_missing_questionnaire_exit_1_without_output_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--questionnaire", str(tmp_path / "nope.json"),
+                 "--output-dir", str(out), "report"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+REMOVED_SETTINGS = {  # probe -> (flags, config document) of a setting now fixed
+    "em-tol-nan": (["--em-tol", "nan"], {"em_tol": float("nan")}),
+    "em-tol-negative": (["--em-tol", "-1"], {"em_tol": -1.0}),
+    "em-max-iter-zero": (["--em-max-iter", "0"], {"em_max_iter": 0}),
+    "tree-max-depth": (["--tree-max-depth", "3"], {"tree_max_depth": 3}),
+    "min-samples-leaf": (["--min-samples-leaf", "64"], {"min_samples_leaf": 64}),
+    "density-samples": (["--density-samples", "11"], {"density_samples": 11}),
+}
 
 
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "score-patient"]
                          + [f"score-patient {ALL_FIRST}"])
-@pytest.mark.parametrize("flags", BAD_EM_FLAGS.values(), ids=BAD_EM_FLAGS)
-def test_bad_em_settings_exit_2(tmp_path, capsys, flags, command):
-    # rejected with the config, before any stage runs or any file is written
-    assert main([*flags, "--output-dir", str(tmp_path / "out"), *command.split()]) == 2
-    assert capsys.readouterr().err.startswith("error: em_")
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("flags, doc", REMOVED_SETTINGS.values(), ids=REMOVED_SETTINGS)
+def test_bad_em_settings_exit_2(tmp_path, capsys, flags, doc, command):
+    """EM's stop rule, the tree's growth and the density grid are fixed: a
+    flag or config key for one is a usage error, raised before any stage
+    runs or any file is written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "--output-dir", str(out), *command.split()])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["--config", str(config), "--output-dir", str(out), *command.split()]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config keys")
+    assert not out.exists()
 
 
 def test_missing_weights_exit_1(tmp_path, capsys):

@@ -138,13 +138,13 @@ def test_read_scores_csv_errors(tmp_path):
 
 def test_density_samples_csv(gmm, kde, tmp_path):
     path = tmp_path / "density.csv"
-    export_density_samples_csv(gmm, kde, path, n_samples=5)
+    export_density_samples_csv(gmm, kde, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("x,gmm_pdf,component_1_pdf,component_2_pdf,"
                         "kde_pdf,p_gmm_cdf,p_kde_cdf,p_posterior")
-    assert len(lines) == 6
+    assert len(lines) == 1002
     table = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    xs = np.linspace(0.0, 1.0, 5)
+    xs = np.linspace(0.0, 1.0, 1001)
     np.testing.assert_array_equal(table[:, 0], xs)
     np.testing.assert_array_equal(table[:, 1], gmm.pdf(xs))
     np.testing.assert_allclose(table[:, 1], table[:, 2] + table[:, 3], rtol=1e-12)

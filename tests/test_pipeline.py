@@ -32,8 +32,7 @@ from reference_data import (
 )
 from test_cases import RAW_MAX, RAW_MIN
 
-CHEAP = dict(n_components=1, m_max=1, density_samples=11,
-             bands=((0.0, 0.5), (0.5, 1.0)))
+CHEAP = dict(n_components=1, m_max=1, bands=((0.0, 0.5), (0.5, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +77,6 @@ def test_config_defaults():
     assert cfg.thresholds == (0.33, 0.68)
     assert cfg.band_approach == 1
     assert cfg.prune_alpha == 0.01
-    assert cfg.em_tol == 1e-9
-    assert cfg.em_max_iter == 10000
-    assert cfg.density_samples == 1001
     assert cfg.output_dir == "out"
     assert cfg.questionnaire_path is None and cfg.weights_path is None
 
@@ -95,8 +91,8 @@ def test_config_defaults():
     {"n_components": 0},
     {"m_max": 0},
     {"prune_alpha": -0.5},
-    {"density_samples": 1},
-    {"min_samples_leaf": 0},
+    {"prune_alpha": float("nan")},
+    {"merge_rules": 5},
 ])
 def test_config_validation_errors(overrides):
     with pytest.raises(ValidationError):

@@ -5,7 +5,6 @@ from numpy.testing import assert_array_equal
 from emprob import (
     ValidationError,
     build_tree,
-    fit_decision_tree,
     iter_nodes,
     leaf_count,
     node_count,
@@ -86,18 +85,6 @@ def test_split_requires_strict_improvement():
     assert root.is_leaf
 
 
-def test_min_samples_leaf(case_set, score_table):
-    tree = fit_decision_tree(case_set, score_table.category, min_samples_leaf=64)
-    for node in iter_nodes(tree):
-        if node.is_leaf:
-            assert node.n_samples >= 64
-
-
-def test_max_depth(case_set, score_table):
-    tree = fit_decision_tree(case_set, score_table.category, max_depth=3)
-    assert tree_depth(tree) == 3
-
-
 def test_full_tree_shape_and_root(tree_full):
     assert node_count(tree_full) == 679
     assert leaf_count(tree_full) == 340
@@ -157,8 +144,9 @@ def test_prune_alpha_infinite_collapses_to_root_leaf(tree_full):
 
 
 def test_prune_rejects_negative_alpha(tree_full):
-    with pytest.raises(ValidationError):
-        prune_tree(tree_full, -0.01)
+    for alpha in (-0.01, float("nan")):
+        with pytest.raises(ValidationError):
+            prune_tree(tree_full, alpha)
 
 
 def test_prune_monotone_and_preserves_root(tree_full):
