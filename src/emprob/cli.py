@@ -145,6 +145,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_flag(argv: list[str]) -> str | None:
+    """The first flag before the subcommand that emprob does not define.
+
+    argparse takes the value after an unknown flag for the subcommand and
+    names that value instead (``--em-tol nan report``: invalid choice
+    'nan'), so the global flags are read here first, by their arity, with
+    argparse's unique-prefix abbreviations.
+    """
+    arity = {"-h": 0, "--help": 0, "--config": 1, "--thresholds": 2}
+    arity.update((flag, 1) for flag, *_ in _CONFIG_FLAGS)
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] != "-":
+        name, eq, _ = argv[i].partition("=")
+        known = [f for f in arity if f == name] or [f for f in arity if f.startswith(name)]
+        if not known:
+            return name
+        if len(known) > 1:
+            return None  # ambiguous: argparse lists the candidates
+        i += 1 if eq else 1 + arity[known[0]]
+    return None
+
+
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     flags = {k: v for k, v in vars(args).items() if k not in ("config", "command", "answers")}
     if args.config is None:
@@ -153,7 +175,12 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    flag = _unknown_flag(argv)
+    if flag is not None:
+        parser.error(f"unrecognized arguments: {flag}")
+    args = parser.parse_args(argv)
     try:
         result = PipelineResult(config_from_args(args))
         _, write, summarize = COMMANDS[args.command]

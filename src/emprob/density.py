@@ -9,15 +9,20 @@ work happens in log space with max-subtraction to avoid underflow.  Model
 order can be chosen by information criteria; the kernel estimate uses a
 Gaussian kernel with Silverman's bandwidth.  Both work on the distinct values
 of the sample weighted by their counts.
+
+The normal distribution function both models use, ndtr, is a numpy port of
+Cephes ndtr/erf/erfc (Moshier 1989, Methods and Programs for Mathematical
+Functions), whose coefficients scipy.special uses too.  It gives the same
+bits as scipy.special.ndtr, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from emprob.schema import ValidationError
 
@@ -27,6 +32,86 @@ _SIGMA_FLOOR = 1e-6
 _PARAM_TOL = 1e-8
 # a Newton step that lowers the log-likelihood is halved at most this often
 _NEWTON_HALVINGS = 8
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| < 1; above, erfc(x) =
+# exp(-x^2) P(x) / Q(x) for x < 8 and exp(-x^2) R(x) / S(x) from 8.  The
+# leading 1 of Q, S and U is Cephes' p1evl: 1 * x + c is x + c exactly.
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_NDTR_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516355e0)
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_NDTR_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+_SQRT1_2 = 7.07106781186547524401e-1
+# Cephes MAXLOG = log(DBL_MAX): erfc is 0 where x^2 exceeds it
+_MAXLOG = 7.09782712893383996843e2
+# the smallest double a with ndtr(a) == 1.0; from there no exp is needed
+_NDTR_ONE = 8.292361075813597
+# elements per pass, so the temporaries stay small next to a large input
+_NDTR_CHUNK = 1 << 14
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Cephes polevl: the polynomial with these coefficients, highest
+    first, at x by Horner's rule."""
+    y = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _ndtr_chunk(a: np.ndarray, out: np.ndarray) -> None:
+    """ndtr(a) into out; every mask is taken before out is written, so out
+    may be a itself."""
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    inner = z < 1.0
+    # 0.5 erfc(z) needs exp(-z^2) only below _NDTR_ONE and above underflow;
+    # NaN stays in this set and comes out NaN
+    with np.errstate(over="ignore"):
+        tail = ~inner & ~(a >= _NDTR_ONE) & ~(z * z > _MAXLOG)
+    out[...] = x > 0  # 1.0 from _NDTR_ONE up, 0.0 where exp underflows
+    xi = x[inner]
+    zi = xi * xi
+    out[inner] = 0.5 + 0.5 * (xi * _polevl(zi, _NDTR_T) / _polevl(zi, _NDTR_U))
+    w = z[tail]
+    # libm's exp, as in Cephes: numpy's SIMD exp differs in the last bit
+    y = np.fromiter(map(math.exp, memoryview(-(w * w))), float, w.size)
+    p, q = _polevl(w, _NDTR_P), _polevl(w, _NDTR_Q)
+    far = w >= 8.0
+    if far.any():  # only for a below -8 sqrt(2)
+        p[far], q[far] = _polevl(w[far], _NDTR_R), _polevl(w[far], _NDTR_S)
+    y *= p
+    y /= q
+    y *= 0.5
+    np.subtract(1.0, y, out=y, where=x[tail] > 0)
+    out[tail] = y
+
+
+def ndtr(a, out: np.ndarray | None = None):
+    """Standard normal distribution function, bit for bit as Cephes ndtr.
+
+    Works through the input in fixed-size chunks.  ``out``, if given, is a
+    C-contiguous float64 array of a's shape and may be ``a`` itself.
+    """
+    a = np.asarray(a, dtype=float)
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array of the input's shape")
+    src, dst = a.reshape(-1), out.reshape(-1)
+    for i in range(0, src.size, _NDTR_CHUNK):
+        _ndtr_chunk(src[i:i + _NDTR_CHUNK], dst[i:i + _NDTR_CHUNK])
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)

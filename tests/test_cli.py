@@ -318,10 +318,12 @@ def test_bad_em_settings_exit_2(tmp_path, capsys, flags, doc, command):
     flag or config key for one is a usage error, raised before any stage
     runs or any file is written."""
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*flags, "--output-dir", str(out), *command.split()])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    flag, value = flags
+    for given in (flags, [f"{flag}={value}"]):  # the error names the flag, not its value
+        with pytest.raises(SystemExit) as exc:
+            main([*given, "--output-dir", str(out), *command.split()])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["--config", str(config), "--output-dir", str(out), *command.split()]) == 2
@@ -340,12 +342,39 @@ def test_unknown_command_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_abbreviated_global_flags_still_parse(capsys):
+    assert main(["--m-m", "0", "enumerate"]) == 2  # --m-max
+    assert "error: m_max must be at least 1" in capsys.readouterr().err
+
+
+def run_python(tmp_path, *args):
+    """Run a child interpreter that imports the emprob package this suite
+    imported (through PYTHONPATH)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(emprob.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    """scipy is a test dependency only: importing it would make up about
+    half of a score-patient call's start-up."""
+    proc = run_python(tmp_path, "-c", "import sys, emprob, emprob.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def run_console_script(tmp_path, *args):
     """Run the declared ``emprob`` console script in a child interpreter.
 
     The child executes the two lines setuptools writes into an installed
     console script, so the check needs no install and no ``emprob`` on
-    PATH; PYTHONPATH points at the emprob package this suite imported.
+    PATH.
     """
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
@@ -356,14 +385,7 @@ def run_console_script(tmp_path, *args):
         f"import sys; from {module} import {func}; "
         f"sys.argv[0] = 'emprob'; sys.exit({func}())"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(emprob.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, "-c", wrapper, *args],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
-    )
+    return run_python(tmp_path, "-c", wrapper, *args)
 
 
 def test_console_script_entry_point(tmp_path):

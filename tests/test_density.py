@@ -16,6 +16,7 @@ from emprob import (
     select_component_count,
     silverman_bandwidth,
 )
+from emprob.density import ndtr as port_ndtr
 from reference_data import REFERENCE_GMM
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -48,6 +49,53 @@ def test_normal_cdf_against_reference_grid():
     z = np.array(sorted(PHI))
     expected = np.array([PHI[v] for v in sorted(PHI)])
     assert np.abs(STANDARD_NORMAL.cdf(z) - expected).max() <= 1e-10
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_ndtr_port_is_scipy_bit_for_bit_on_every_branch():
+    rng = np.random.default_rng(11)
+    one = 8.292361075813597  # the smallest a with ndtr(a) == 1.0
+    ulps = np.arange(-8, 9)
+    a = np.concatenate([
+        rng.uniform(-math.sqrt(2), math.sqrt(2), 20000),  # erf: |a/sqrt2| < 1
+        rng.uniform(-8 * math.sqrt(2), 8 * math.sqrt(2), 20000),  # erfc, P/Q
+        rng.uniform(-40, -8 * math.sqrt(2), 5000),  # erfc, R/S, and underflow
+        rng.uniform(8 * math.sqrt(2), 40, 5000),
+        rng.normal(size=20000),
+        one + ulps * np.spacing(one),  # both sides of ndtr(a) == 1.0
+        rng.uniform(-38.5, -37.5, 5000),  # where exp(-a^2/2) underflows
+        -math.sqrt(2 * 7.09782712893383996843e2) + ulps * 1e-14,
+        [math.sqrt(2), -math.sqrt(2), 8 * math.sqrt(2), -8 * math.sqrt(2)],
+        [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+    ])
+    assert same_bits(port_ndtr(a), ndtr(a))
+    assert port_ndtr(np.nextafter(one, 0)) < 1.0 == port_ndtr(one)
+    assert port_ndtr(np.inf) == 1.0 and port_ndtr(-np.inf) == 0.0
+    assert np.isnan(port_ndtr(np.nan)) and port_ndtr(-0.0) == 0.5
+
+
+def test_ndtr_port_is_scipy_bit_for_bit_on_the_kde_grids(kde, sum_table):
+    atoms = np.unique(sum_table.normalized)
+    for x in (atoms, np.linspace(0.0, 1.0, 1001)):  # scoring, density samples
+        z = (x[:, None] - atoms) / kde.bandwidth
+        expected = ndtr(z)
+        assert same_bits(port_ndtr(z), expected)
+        port_ndtr(z, out=z)  # in place, as KernelDensityEstimate.cdf calls it
+        assert same_bits(z, expected)
+
+
+def test_ndtr_port_shapes():
+    x = port_ndtr(0.25)
+    assert isinstance(x, float) and x == ndtr(0.25)
+    assert port_ndtr(np.empty((0, 3))).shape == (0, 3)
+    batch = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    assert same_bits(port_ndtr(batch), ndtr(batch))
+    with pytest.raises(ValueError):
+        port_ndtr(batch, out=np.empty((4, 3)).T)
 
 
 def test_mixture_construction_validation():
