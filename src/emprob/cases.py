@@ -61,18 +61,6 @@ def canonical_index(case: CaseVector, questionnaire: Questionnaire) -> int:
     return idx
 
 
-def case_from_index(index: int, questionnaire: Questionnaire) -> CaseVector:
-    """Inverse of canonical_index."""
-    total = questionnaire.case_count()
-    if not 0 <= index < total:
-        raise ValidationError(f"case index {index} outside [0, {total})")
-    answers: set[str] = set()
-    for q in reversed(questionnaire.questions):
-        index, d = divmod(index, q.combination_count())
-        answers.update(q.combinations()[d])
-    return CaseVector(true_answers=frozenset(answers))
-
-
 class CaseSet:
     """All admissible cases in canonical order, as a boolean indicator matrix.
 
@@ -99,6 +87,9 @@ class CaseSet:
         return (self.case(i) for i in range(len(self)))
 
     def case(self, index: int) -> CaseVector:
+        """The case at a canonical index; the inverse of canonical_index."""
+        if not 0 <= index < len(self):
+            raise ValidationError(f"case index {index} outside [0, {len(self)})")
         row = self.matrix[index]
         return CaseVector(
             true_answers=frozenset(a for a, v in zip(self.answer_ids, row) if v)
@@ -110,34 +101,6 @@ def enumerate_cases(questionnaire: Questionnaire) -> CaseSet:
     return CaseSet(questionnaire)
 
 
-def _sums(matrix: np.ndarray, weights: AnswerWeightVector) -> np.ndarray:
-    """Per-row sums of the weights of the true columns.
-
-    Each row is reduced on its own, so a one-row matrix gives the same float
-    as that row of a larger one (a matrix product does not promise this).
-    The totals of quarter-point weights add up exactly, so each sum is one
-    correctly rounded division of its exact total.
-    """
-    return (matrix * weights.totals).sum(axis=1) / weights.n_doctors
-
-
-def weight_sum(case: CaseVector, weights: AnswerWeightVector) -> float:
-    """Sum of mean weights over the case's true answers, equal bit for bit
-    to the case's row of weight_sums."""
-    missing = case.true_answers - set(weights.answer_ids)
-    if missing:
-        raise ValidationError(f"case answers missing from weight vector: {sorted(missing)}")
-    row = np.array([[a in case.true_answers for a in weights.answer_ids]])
-    return float(_sums(row, weights)[0])
-
-
-def weight_sums(case_set: CaseSet, weights: AnswerWeightVector) -> np.ndarray:
-    """Per-case weight sums for every case, in canonical order."""
-    if tuple(weights.answer_ids) != tuple(case_set.answer_ids):
-        raise ValidationError("weight vector answer order differs from case set")
-    return _sums(case_set.matrix, weights)
-
-
 @dataclass(frozen=True)
 class WeightSumTable:
     """Raw and min-max normalized weight sums, with the bounds kept for the
@@ -147,7 +110,7 @@ class WeightSumTable:
     normalized: np.ndarray
     raw_min: float
     raw_max: float
-    case_set: CaseSet | None = None
+    case_set: CaseSet
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.raw_sums, dtype=float)
@@ -156,7 +119,7 @@ class WeightSumTable:
             raise ValidationError("raw and normalized sums must be equal-length vectors")
         if norm.size and (norm.min() < 0.0 or norm.max() > 1.0):
             raise ValidationError("normalized sums must lie in [0, 1]")
-        if self.case_set is not None and len(self.case_set) != raw.size:
+        if len(self.case_set) != raw.size:
             raise ValidationError("case set size does not match sums")
         for a in (raw, norm):
             a.setflags(write=False)
@@ -167,15 +130,20 @@ class WeightSumTable:
         return int(self.raw_sums.size)
 
 
-def normalize_sums(sums, case_set: CaseSet | None = None) -> WeightSumTable:
-    """Min-max normalization of weight sums onto [0, 1].
+def weight_sum_table(case_set: CaseSet, weights: AnswerWeightVector) -> WeightSumTable:
+    """Per-case sums of the mean weights of the true answers, in canonical
+    order, with their min-max normalization onto [0, 1].
 
     The minimum maps to 0 and the maximum to 1; the bounds are stored in the
-    returned table.  A degenerate input (all sums equal) is an error since
-    the affine map is undefined.
+    table.  Fewer than two sums, a non-finite sum, or all sums equal is an
+    error, since the affine map is then undefined.
     """
-    raw = np.asarray(sums, dtype=float)
-    if raw.ndim != 1 or raw.size < 2:
+    if tuple(weights.answer_ids) != tuple(case_set.answer_ids):
+        raise ValidationError("weight vector answer order differs from case set")
+    # the totals of quarter-point weights add up exactly, so each sum is one
+    # correctly rounded division of its exact total
+    raw = (case_set.matrix * weights.totals).sum(axis=1) / weights.n_doctors
+    if raw.size < 2:
         raise ValidationError("normalization needs at least two sums")
     if not np.all(np.isfinite(raw)):
         raise ValidationError("sums contain non-finite values")
@@ -190,8 +158,3 @@ def normalize_sums(sums, case_set: CaseSet | None = None) -> WeightSumTable:
         raw_max=hi,
         case_set=case_set,
     )
-
-
-def weight_sum_table(case_set: CaseSet, weights: AnswerWeightVector) -> WeightSumTable:
-    """Sums plus normalization for a whole case set in one step."""
-    return normalize_sums(weight_sums(case_set, weights), case_set=case_set)

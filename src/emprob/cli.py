@@ -145,26 +145,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unknown_flag(argv: list[str]) -> str | None:
-    """The first flag before the subcommand that emprob does not define.
+def _global_args(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with an end-of-options marker ``--`` before the subcommand
+    dropped; an unknown flag before the subcommand is a usage error.
 
     argparse takes the value after an unknown flag for the subcommand and
     names that value instead (``--em-tol nan report``: invalid choice
-    'nan'), so the global flags are read here first, by their arity, with
-    argparse's unique-prefix abbreviations.
+    'nan'), and takes a ``--`` for the subcommand itself, so the global
+    flags are read here first, by their arity, with argparse's unique-prefix
+    abbreviations.
     """
     arity = {"-h": 0, "--help": 0, "--config": 1, "--thresholds": 2}
     arity.update((flag, 1) for flag, *_ in _CONFIG_FLAGS)
     i = 0
     while i < len(argv) and argv[i].startswith("-") and argv[i] != "-":
+        if argv[i] == "--":
+            if i + 1 < len(argv) and argv[i + 1].startswith("-"):
+                parser.error(f"expected a subcommand after '--', got {argv[i + 1]!r}")
+            return argv[:i] + argv[i + 1:]
         name, eq, _ = argv[i].partition("=")
         known = [f for f in arity if f == name] or [f for f in arity if f.startswith(name)]
         if not known:
-            return name
+            parser.error(f"unrecognized arguments: {name}")
         if len(known) > 1:
-            return None  # ambiguous: argparse lists the candidates
+            break  # ambiguous: argparse lists the candidates
         i += 1 if eq else 1 + arity[known[0]]
-    return None
+    return argv
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -176,11 +182,7 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    flag = _unknown_flag(argv)
-    if flag is not None:
-        parser.error(f"unrecognized arguments: {flag}")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_global_args(parser, sys.argv[1:] if argv is None else argv))
     try:
         result = PipelineResult(config_from_args(args))
         _, write, summarize = COMMANDS[args.command]

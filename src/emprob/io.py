@@ -16,7 +16,7 @@ import numpy as np
 
 from emprob.fca import ConceptLattice, FormalContext
 from emprob.schema import ValidationError
-from emprob.scoring import ProbabilityCategory, ScoreTable
+from emprob.scoring import ProbabilityCategory, ScoreTable, ill_component
 from emprob.tree import TreeNode, iter_nodes
 
 CATEGORY_NAMES = tuple(c.name for c in ProbabilityCategory)
@@ -242,7 +242,7 @@ def export_density_samples_csv(gmm, kde, path: str | Path) -> None:
         ("kde_pdf", kde.pdf(xs)),
         ("p_gmm_cdf", gmm.cdf(xs)),
         ("p_kde_cdf", kde.cdf(xs)),
-        ("p_posterior", gmm.posterior(xs, int(np.argmax(gmm.means)))),
+        ("p_posterior", gmm.posterior(xs, ill_component(gmm))),
     ])
     lines = [",".join(["x"] + [name for name, _ in curves])]
     for i, x in enumerate(xs):

@@ -4,7 +4,7 @@ PipelineResult(config) computes each stage the first time something reads
 it and keeps it, so a caller pays only for the stages it reads; the
 component selection and the chosen mixture share one EM fit per m.
 prepare() reads every stage.  Each artifact group has its own writer, and
-write_artifacts (or run_pipeline) writes all four:
+write_artifacts writes all four:
 
 - write_scores: scores.csv, one row per case with sums, scores, and category
 - write_fit: fit_report.json (candidate fits, information criteria, chosen
@@ -287,7 +287,8 @@ def band_tag(band: tuple[float, float]) -> str:
 
 
 def _output_dir(result: PipelineResult, output_dir: str | Path | None) -> Path:
-    result.questionnaire  # inputs that fail to load leave no directory behind
+    # each writer reads its stages first, so a run whose inputs are rejected
+    # leaves no directory behind
     out = Path(result.config.output_dir if output_dir is None else output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -295,34 +296,38 @@ def _output_dir(result: PipelineResult, output_dir: str | Path | None) -> Path:
 
 def write_scores(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write scores.csv; returns the paths written."""
+    table = result.table
     path = _output_dir(result, output_dir) / "scores.csv"
-    eio.export_scores_csv(result.table, path)
+    eio.export_scores_csv(table, path)
     return [path]
 
 
 def write_fit(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write fit_report.json and density_samples.csv."""
+    doc = fit_report_document(result)
     out = _output_dir(result, output_dir)
     report, samples = out / "fit_report.json", out / "density_samples.csv"
-    eio.write_json(fit_report_document(result), report)
+    eio.write_json(doc, report)
     eio.export_density_samples_csv(result.gmm, result.kde, samples)
     return [report, samples]
 
 
 def write_trees(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write tree_full.dot and tree_pruned.dot."""
+    trees = (result.tree_full, result.tree_pruned)
     out = _output_dir(result, output_dir)
     paths = [out / "tree_full.dot", out / "tree_pruned.dot"]
-    for path, tree in zip(paths, (result.tree_full, result.tree_pruned)):
+    for path, tree in zip(paths, trees):
         eio.export_dot(tree, path)
     return paths
 
 
 def write_lattices(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write each band's context (CXT), lattice (DOT) and supports (CSV)."""
+    bands = zip(result.band_contexts, result.lattices)
     out = _output_dir(result, output_dir)
     paths = []
-    for (band, ctx), (_, lattice) in zip(result.band_contexts, result.lattices):
+    for (band, ctx), (_, lattice) in bands:
         tag = band_tag(band)
         paths += [out / f"band_{tag}.cxt", out / f"lattice_{tag}.dot", out / f"supports_{tag}.csv"]
         eio.export_cxt(ctx, paths[-3])
@@ -338,10 +343,3 @@ def write_artifacts(result: PipelineResult, output_dir: str | Path | None = None
         for write in (write_scores, write_fit, write_trees, write_lattices)
         for path in write(result, output_dir)
     ]
-
-
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Compute everything and write the artifact set to cfg.output_dir."""
-    result = prepare(cfg)
-    write_artifacts(result)
-    return result

@@ -55,22 +55,11 @@ def validate_thresholds(thresholds: tuple[float, float]) -> tuple[float, float]:
     return t1, t2
 
 
-def categorize(p: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> ProbabilityCategory:
-    """LOW on [0, t1), MEDIUM on [t1, t2), HIGH on [t2, 1]."""
-    t1, t2 = validate_thresholds(thresholds)
-    if not np.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ValidationError(f"score {p} outside [0, 1]")
-    if p < t1:
-        return ProbabilityCategory.LOW
-    if p < t2:
-        return ProbabilityCategory.MEDIUM
-    return ProbabilityCategory.HIGH
-
-
 def categorize_array(
     p: np.ndarray, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
 ) -> np.ndarray:
-    """Vectorized categorize; returns an int array of category values."""
+    """Category values of an array of scores: LOW on [0, t1), MEDIUM on
+    [t1, t2), HIGH on [t2, 1]; a score outside [0, 1] is an error."""
     t1, t2 = validate_thresholds(thresholds)
     p = np.asarray(p, dtype=float)
     if p.size and (not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0):
@@ -140,12 +129,9 @@ def elicit_probabilities(
 ) -> ScoreTable:
     """Evaluate the three scores for every case of a weight-sum table.
 
-    The models must have been fitted on the table's normalized sums.  The
-    table needs its case set attached so rows keep their answer assignments.
+    The models must have been fitted on the table's normalized sums.
     """
     thresholds = validate_thresholds(thresholds)
-    if table.case_set is None:
-        raise ValidationError("weight-sum table has no case set attached")
     x = table.normalized
     # each distinct sum is scored once and the scores gathered back per case
     atoms, inverse = np.unique(x, return_inverse=True)

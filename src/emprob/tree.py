@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from emprob.cases import CaseSet, CaseVector
+from emprob.cases import CaseSet
 from emprob.schema import ValidationError
 
 # labels are categories LOW, MEDIUM, HIGH
@@ -69,28 +69,18 @@ def _majority(counts: Sequence[int]) -> int:
     return best
 
 
-def build_tree(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    answer_ids: Sequence[str],
-) -> TreeNode:
-    """Grow a full binary Gini tree.
-
-    Parameters
-    ----------
-    matrix : bool array, shape (n_cases, n_answers)
-        Answer indicators, columns in questionnaire order.
-    labels : int array, shape (n_cases,)
-        Category of each case, values in [0, 3).
-    answer_ids : sequence of str
-        Column names, used to label splits.
+def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:
+    """Grow a full binary Gini tree explaining per-case categories (values
+    in [0, 3)) by the answer indicators of ``cases.matrix``, whose columns
+    ``cases.answer_ids`` name the splits.
 
     A node splits only when some partition into two non-empty children
     strictly lowers the weighted Gini impurity, compared in exact rational
     arithmetic; growth stops at nodes that are pure or unsplittable.
     """
-    matrix = np.asarray(matrix, dtype=bool)
-    labels = np.asarray(labels)
+    matrix = np.asarray(cases.matrix, dtype=bool)
+    labels = np.asarray(categories)
+    answer_ids = tuple(cases.answer_ids)
     if matrix.ndim != 2 or matrix.shape[1] != len(answer_ids):
         raise ValidationError("matrix shape does not match answer ids")
     if labels.shape != (matrix.shape[0],):
@@ -99,7 +89,6 @@ def build_tree(
         raise ValidationError("cannot build a tree from zero cases")
     if labels.min() < 0 or labels.max() >= _N_LABELS:
         raise ValidationError(f"labels must lie in [0, {_N_LABELS})")
-    answer_ids = tuple(answer_ids)
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         node_counts = tuple(int(c) for c in np.bincount(labels[idx], minlength=_N_LABELS))
@@ -155,11 +144,6 @@ def build_tree(
         return node
 
     return grow(np.arange(matrix.shape[0]), 0)
-
-
-def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:
-    """Grow a tree explaining per-case categories by answer indicators."""
-    return build_tree(cases.matrix, np.asarray(categories), cases.answer_ids)
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
@@ -235,14 +219,6 @@ def prune_tree(root: TreeNode, alpha: float) -> TreeNode:
                 node.split_answer_index = node.split_answer_id = node.gain = None
                 node.true_child = node.false_child = None
     return root
-
-
-def predict(root: TreeNode, case: CaseVector) -> int:
-    """Class of a case by walking the tree."""
-    node = root
-    while not node.is_leaf:
-        node = node.true_child if node.split_answer_id in case else node.false_child
-    return node.prediction
 
 
 def predict_matrix(root: TreeNode, matrix: np.ndarray) -> np.ndarray:

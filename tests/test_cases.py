@@ -3,25 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from emprob import (
+    AnswerWeightVector,
     CaseVector,
     Questionnaire,
     ValidationError,
     WeightMatrix,
     canonical_index,
-    case_from_index,
     enumerate_cases,
     load_questionnaire,
     mean_weights,
-    normalize_sums,
     validate_case,
-    weight_sum,
     weight_sum_table,
-    weight_sums,
 )
 from reference_data import unmerged_questionnaire, unmerged_weight_matrix
 
@@ -93,17 +88,15 @@ def test_canonical_order_endpoints(questionnaire, case_set):
 def test_canonical_index_round_trip(questionnaire, case_set):
     for i, case in enumerate(case_set):
         assert canonical_index(case, questionnaire) == i
-    for i in (0, 1, 7, 191, 192, 1000, 1535):
-        assert canonical_index(case_from_index(i, questionnaire), questionnaire) == i
 
 
-def test_canonical_index_rejects_invalid(questionnaire):
+def test_canonical_index_rejects_invalid(questionnaire, case_set):
     with pytest.raises(ValidationError):
         canonical_index(CaseVector(frozenset({"a_1_q1"})), questionnaire)
     with pytest.raises(ValidationError):
-        case_from_index(1536, questionnaire)
+        case_set.case(1536)
     with pytest.raises(ValidationError):
-        case_from_index(-1, questionnaire)
+        case_set.case(-1)
 
 
 def test_validate_case_errors(questionnaire):
@@ -122,36 +115,34 @@ def test_validate_case_errors(questionnaire):
         validate_case(CaseVector(frozenset(base - {"a_1_q1"})), questionnaire)
 
 
-def test_weight_sum_examples(mean_vector):
-    assert weight_sum(CaseVector(frozenset()), mean_vector) == 0.0
-    assert weight_sum(MAX_CASE, mean_vector) == pytest.approx(188.5 / 15)
-    assert weight_sum(MIN_CASE, mean_vector) == pytest.approx(-2.6)
+def raw_sum(sum_table, case):
+    return sum_table.raw_sums[canonical_index(case, sum_table.case_set.questionnaire)]
+
+
+def test_weight_sum_examples(sum_table, case_set, mean_vector):
+    assert raw_sum(sum_table, MAX_CASE) == pytest.approx(188.5 / 15)
+    assert raw_sum(sum_table, MIN_CASE) == pytest.approx(-2.6)
+    reordered = AnswerWeightVector(mean_vector.answer_ids[::-1], mean_vector.totals[::-1],
+                                   mean_vector.n_doctors)
     with pytest.raises(ValidationError):
-        weight_sum(CaseVector(frozenset({"a_9_q9"})), mean_vector)
+        weight_sum_table(case_set, reordered)
 
 
-def test_weight_sum_extremes_are_global(sum_table, mean_vector):
-    assert sum_table.raw_sums.min() == weight_sum(MIN_CASE, mean_vector)
-    assert sum_table.raw_sums.max() == weight_sum(MAX_CASE, mean_vector)
+def test_weight_sum_extremes_are_global(sum_table):
+    assert sum_table.raw_sums.min() == raw_sum(sum_table, MIN_CASE)
+    assert sum_table.raw_sums.max() == raw_sum(sum_table, MAX_CASE)
     assert sum_table.raw_min == RAW_MIN
     assert sum_table.raw_max == RAW_MAX
 
 
-def test_weight_sum_additive_across_questions(questionnaire, mean_vector, case_set):
+def test_weight_sum_additive_across_questions(questionnaire, mean_vector, case_set, sum_table):
     rng = np.random.default_rng(7)
     for i in rng.integers(0, len(case_set), size=20):
         case = case_set.case(int(i))
         partial = 0.0
         for q in questionnaire.questions:
-            chosen = case.true_answers & {a.id for a in q.answers}
-            partial += weight_sum(CaseVector(frozenset(chosen)), mean_vector)
-        assert partial == pytest.approx(weight_sum(case, mean_vector), abs=1e-12)
-
-
-def test_weight_sums_batch_matches_single(case_set, mean_vector):
-    batch = weight_sums(case_set, mean_vector)
-    single = np.array([weight_sum(c, mean_vector) for c in case_set])
-    assert_array_equal(batch, single)
+            partial += sum(mean_vector.value(a.id) for a in q.answers if a.id in case)
+        assert partial == pytest.approx(sum_table.raw_sums[i], abs=1e-12)
 
 
 def exact_sums(case_set, wm):
@@ -165,7 +156,7 @@ def exact_sums(case_set, wm):
 
 
 def test_weight_sums_are_exact(case_set, weight_matrix):
-    sums = weight_sums(case_set, mean_weights(weight_matrix))
+    sums = weight_sum_table(case_set, mean_weights(weight_matrix)).raw_sums
     assert_array_equal(sums, exact_sums(case_set, weight_matrix))
     assert np.unique(sums).size == 364
 
@@ -173,25 +164,8 @@ def test_weight_sums_are_exact(case_set, weight_matrix):
 def test_unmerged_weight_sums_are_exact():
     case_set, wm = enumerate_cases(unmerged_questionnaire()), unmerged_weight_matrix()
     assert len(case_set) == 12288
-    assert_array_equal(weight_sums(case_set, mean_weights(wm)), exact_sums(case_set, wm))
-
-
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_weight_sum_matches_batch_row_for_any_weights(case_set, data):
-    """With weights off the quarter-point grid the sums are rounded, yet a
-    single case still reproduces its batch row bit for bit."""
-    n_doctors = data.draw(st.integers(1, 15), label="doctors")
-    n_answers = len(case_set.answer_ids)
-    cells = data.draw(st.lists(st.floats(-1.0, 3.0), min_size=n_doctors * n_answers,
-                               max_size=n_doctors * n_answers), label="weights")
-    doctors = tuple(f"d_{i}" for i in range(n_doctors))
-    wm = WeightMatrix(doctors, case_set.answer_ids, np.reshape(cells, (n_doctors, n_answers)))
-    vector = mean_weights(wm)
-    batch = weight_sums(case_set, vector)
-    for i in data.draw(st.lists(st.integers(0, len(case_set) - 1), min_size=1, max_size=25),
-                       label="cases"):
-        assert weight_sum(case_set.case(i), vector) == batch[i]
+    assert_array_equal(weight_sum_table(case_set, mean_weights(wm)).raw_sums,
+                       exact_sums(case_set, wm))
 
 
 def test_normalize_bounds_and_known_value(sum_table):
@@ -215,13 +189,17 @@ def test_normalize_order_preserving(sum_table):
     assert (collapsed > 0).all()
 
 
-def test_normalize_sums_errors():
-    with pytest.raises(ValidationError):
-        normalize_sums(np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(ValidationError):
-        normalize_sums(np.array([1.0]))
-    with pytest.raises(ValidationError):
-        normalize_sums(np.array([0.0, np.nan]))
+def test_normalize_sums_errors(case_set, weight_matrix):
+    def table(values, cases=case_set):
+        wm = WeightMatrix(("d_1",), cases.answer_ids, np.reshape(values, (1, -1)))
+        return weight_sum_table(cases, mean_weights(wm))
+
+    with pytest.raises(ValidationError, match="all case sums identical"):
+        table(np.zeros(len(case_set.answer_ids)))
+    with pytest.raises(ValidationError, match="at least two sums"):
+        table([], enumerate_cases(Questionnaire(questions=(), merge_rules=())))
+    with pytest.raises(ValidationError, match="non-finite"):
+        table(np.r_[np.nan, weight_matrix.values[0, 1:]])
 
 
 def test_weight_sum_table_carries_case_set(case_set, sum_table):

@@ -300,6 +300,31 @@ def test_missing_questionnaire_exit_1_without_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--weights", "zero_weights.csv", "--output-dir", "out", "report"], "cannot normalize"),
+    (["--n-components", "2000", "--output-dir", "out", "fit"],
+     "EM needs more observations than components"),
+], ids=["all-zero-weights", "too-many-components"])
+def test_rejected_inputs_leave_no_output_dir(tmp_path, monkeypatch, capsys, flags, message):
+    """Inputs that load but fail a later stage leave no directory either."""
+    monkeypatch.chdir(tmp_path)
+    header, body = SHIPPED_WEIGHTS.split("\n", 1)
+    zeros = [row.split(",")[0] + ",0" * row.count(",") for row in body.split()]
+    Path("zero_weights.csv").write_text("\n".join([header, *zeros]) + "\n")
+    assert main(flags) == 2
+    assert message in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
+def test_end_of_options_marker_before_the_subcommand(capsys):
+    assert main(["--", "enumerate"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["questions: 6", "answers: 19", "cases: 1536"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--", "--m-max", "2", "enumerate"])  # after the marker, no flag
+    assert exc.value.code == 2
+    assert "'--m-max'" in capsys.readouterr().err
+
+
 REMOVED_SETTINGS = {  # probe -> (flags, config document) of a setting now fixed
     "em-tol-nan": (["--em-tol", "nan"], {"em_tol": float("nan")}),
     "em-tol-negative": (["--em-tol", "-1"], {"em_tol": -1.0}),

@@ -21,6 +21,8 @@ def test_every_exported_name_resolves():
     missing = [name for name in emprob.__all__ if not hasattr(emprob, name)]
     assert not missing
     assert len(set(emprob.__all__)) == len(emprob.__all__)
+    imported = {name for _, name in emprob_imports(Path(emprob.__file__))}
+    assert imported == set(emprob.__all__)
 
 
 def emprob_imports(path):

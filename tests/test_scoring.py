@@ -6,11 +6,12 @@ from emprob import (
     CaseVector,
     ProbabilityCategory,
     ValidationError,
-    categorize,
+    WeightSumTable,
     categorize_array,
     elicit_probabilities,
+    enumerate_cases,
     ill_component,
-    normalize_sums,
+    load_questionnaire,
     score_patient,
     validate_thresholds,
 )
@@ -26,25 +27,16 @@ def test_threshold_validation():
 
 
 def test_categorize_boundaries():
-    assert categorize(0.0) is ProbabilityCategory.LOW
-    assert categorize(0.329999) is ProbabilityCategory.LOW
-    assert categorize(0.33) is ProbabilityCategory.MEDIUM
-    assert categorize(0.679999) is ProbabilityCategory.MEDIUM
-    assert categorize(0.68) is ProbabilityCategory.HIGH
-    assert categorize(1.0) is ProbabilityCategory.HIGH
+    low, medium, high = ProbabilityCategory
+    assert_array_equal(categorize_array([0.0, 0.329999, 0.33, 0.679999, 0.68, 1.0]),
+                       [low, low, medium, medium, high, high])
+    assert categorize_array([]).size == 0
 
 
 def test_categorize_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        categorize(-0.001)
-    with pytest.raises(ValidationError):
-        categorize(1.001)
-
-
-def test_categorize_array_matches_scalar():
-    scores = np.linspace(0, 1, 101)
-    cats = categorize_array(scores)
-    assert_array_equal(cats, [categorize(float(s)) for s in scores])
+    for bad in (-0.001, 1.001, np.nan):
+        with pytest.raises(ValidationError):
+            categorize_array([0.5, bad])
 
 
 def test_category_order():
@@ -75,10 +67,15 @@ def test_scores_by_approach_mapping(score_table):
         score_table.scores("bogus")
 
 
-def test_elicit_requires_case_set(sum_table, gmm, kde):
-    bare = normalize_sums(sum_table.raw_sums)
+def test_elicit_requires_case_set(sum_table):
+    """Every weight-sum table carries the case set its rows belong to."""
+    bounds = (sum_table.raw_sums, sum_table.normalized, sum_table.raw_min, sum_table.raw_max)
+    with pytest.raises(TypeError):
+        WeightSumTable(*bounds)
+    doc = {"questions": [{"id": "q1", "mode": "exclusive",
+                          "answers": [{"id": "a0", "label": "0"}, {"id": "a1", "label": "1"}]}]}
     with pytest.raises(ValidationError):
-        elicit_probabilities(bare, gmm, kde)
+        WeightSumTable(*bounds, enumerate_cases(load_questionnaire(doc)))
 
 
 def test_reference_scores_at_minimum_case(reference_score_table, questionnaire):
@@ -130,8 +127,8 @@ def test_score_patient_uses_the_table_thresholds(sum_table, gmm, kde, case_set):
     assert moved.size
     for i in moved[:: max(1, moved.size // 20)]:
         ps = score_patient(case_set.case(i), table)
-        assert ps.category is categorize(ps.score_gmm_cdf, (0.2, 0.5))
-        assert ps.category is not categorize(ps.score_gmm_cdf)
+        assert ps.category == categorize_array([ps.score_gmm_cdf], (0.2, 0.5))[0]
+        assert ps.category != categorize_array([ps.score_gmm_cdf])[0]
 
 
 def test_score_patient_accepts_answer_ids(score_table):
