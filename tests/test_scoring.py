@@ -5,13 +5,13 @@ from numpy.testing import assert_array_equal
 from emprob import (
     CaseVector,
     ProbabilityCategory,
+    Questionnaire,
     ValidationError,
     WeightSumTable,
     categorize_array,
     elicit_probabilities,
     enumerate_cases,
     ill_component,
-    load_questionnaire,
     score_patient,
     validate_thresholds,
 )
@@ -72,10 +72,9 @@ def test_elicit_requires_case_set(sum_table):
     bounds = (sum_table.raw_sums, sum_table.normalized, sum_table.raw_min, sum_table.raw_max)
     with pytest.raises(TypeError):
         WeightSumTable(*bounds)
-    doc = {"questions": [{"id": "q1", "mode": "exclusive",
-                          "answers": [{"id": "a0", "label": "0"}, {"id": "a1", "label": "1"}]}]}
+    one_case = enumerate_cases(Questionnaire(questions=(), merge_rules=()))
     with pytest.raises(ValidationError):
-        WeightSumTable(*bounds, enumerate_cases(load_questionnaire(doc)))
+        WeightSumTable(*bounds, one_case)
 
 
 def test_reference_scores_at_minimum_case(reference_score_table, questionnaire):
