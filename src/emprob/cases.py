@@ -26,9 +26,6 @@ class CaseVector:
 
     true_answers: frozenset[str]
 
-    def __contains__(self, answer_id: str) -> bool:
-        return answer_id in self.true_answers
-
 
 def _digits(case: CaseVector, questionnaire: Questionnaire) -> list[int]:
     """Each question's index of the case's answers in its combinations();

@@ -3,11 +3,12 @@
 A formal context pairs objects (cases) with attributes (answers) through a
 boolean incidence matrix.  Concepts are maximal rectangles (extent, intent).
 Each attribute's column is held as one Python int over the objects, so a
-derivation is a chain of bitwise ANDs.  Concepts are enumerated with
-Next-Closure (Ganter 1984) in lectic order of intents, which visits every
-closed attribute set exactly once.  The covering relation, which gives the
-concept lattice diagram, comes from Lindig's neighbour step (Lindig 2000,
-"Fast Concept Analysis").
+derivation is a chain of bitwise ANDs.  The concept lattice is built in one
+top-down pass of Lindig's neighbour step (Lindig 2000, "Fast Concept
+Analysis"): from the top concept down, each concept's lower covers are
+found once and each cover not seen before joins the pass, so it reaches
+every concept and every edge of the lattice diagram.  One sort then puts
+the concepts in lectic order of their intents.
 """
 
 from __future__ import annotations
@@ -118,54 +119,29 @@ def _columns(context: FormalContext) -> list[int]:
     return [int.from_bytes(packed[:, a].tobytes(), "little") for a in range(context.n_attributes)]
 
 
-def _indices(masks: list[int], width: int) -> list[tuple[int, ...]]:
-    """Each bitset of ``width`` bits as the ascending tuple of its set bits."""
+def _bits(masks: list[int], width: int) -> np.ndarray:
+    """Each bitset of ``width`` bits as a bool row: column j is bit j."""
     n_bytes = (width + 7) // 8
     packed = np.frombuffer(b"".join(x.to_bytes(n_bytes, "little") for x in masks), np.uint8)
-    rows, pos = np.nonzero(
-        np.unpackbits(packed.reshape(len(masks), n_bytes), axis=1, bitorder="little")
-    )
-    ends = np.cumsum(np.bincount(rows, minlength=len(masks))).tolist()
+    rows = np.unpackbits(packed.reshape(len(masks), n_bytes), axis=1, bitorder="little")
+    return rows[:, :width]
+
+
+def _indices(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Each bool row as the ascending tuple of its True columns."""
+    nz, pos = np.nonzero(rows)
+    ends = np.cumsum(np.bincount(nz, minlength=len(rows))).tolist()
     pos = pos.tolist()
     return [tuple(pos[s:e]) for s, e in zip([0] + ends, ends)]
 
 
 def enumerate_concepts(context: FormalContext) -> tuple[Concept, ...]:
-    """All formal concepts in lectic order of their intents (Next-Closure).
+    """All formal concepts in lectic order of their intents.
 
     The first concept has full extent (the lattice top) and the last has
     full intent (the bottom).
     """
-    m = context.n_attributes
-    cols = _columns(context)
-    ext = full = (1 << context.n_objects) - 1
-    intent = sum(1 << a for a in range(m) if cols[a] == full)
-    extents, intents = [ext], [intent]
-    while True:
-        # prefix[i]: the extent of the intent's attributes below i
-        prefix = [full]
-        for a in range(m):
-            prefix.append(prefix[-1] & cols[a] if intent >> a & 1 else prefix[-1])
-        missing = [a for a in range(m) if not intent >> a & 1]
-        # try each attribute outside the intent, the last first
-        for k in range(len(missing) - 1, -1, -1):
-            i = missing[k]
-            ext = prefix[i] & cols[i]
-            # lectic successor: the closure adds nothing below position i
-            for j in missing[:k]:
-                if ext & cols[j] == ext:
-                    break
-            else:
-                intent = (intent & ((1 << i) - 1)) | (1 << i)
-                for j in range(i + 1, m):
-                    if ext & cols[j] == ext:
-                        intent |= 1 << j
-                extents.append(ext)
-                intents.append(intent)
-                break
-        else:
-            return tuple(map(Concept, _indices(extents, context.n_objects),
-                             _indices(intents, m)))
+    return build_lattice(context).concepts
 
 
 @dataclass(frozen=True)
@@ -184,39 +160,56 @@ class ConceptLattice:
 
 
 def build_lattice(context: FormalContext) -> ConceptLattice:
-    """Enumerate the context's concepts and compute their covering relation.
+    """The context's concepts, in lectic order of intents, and their
+    covering relation, from one top-down walk.
 
     Lindig's neighbour step: for a concept (X, Y), every X & a' with a
     outside Y is a closed extent below X, and the maximal ones among them
-    are X's lower covers.  For a in Y, X & a' is X itself.
+    are X's lower covers.  A cover's intent is Y plus the attributes whose
+    X & a' is that cover, since any other a outside Y gives an X & a' that
+    does not contain it.  Each cover not seen before joins the walk.
     """
-    concepts = enumerate_concepts(context)
+    m = context.n_attributes
     cols = _columns(context)
+    # attribute a is bit m - 1 - a, so intents in numeric order are in
+    # lectic order (attribute 0 decides first)
+    bits = [1 << (m - 1 - a) for a in range(m)]
     full = (1 << context.n_objects) - 1
-    extents = []
-    for c in concepts:
-        ext = full
-        for a in c.intent:
-            ext &= cols[a]
-        extents.append(ext)
-    index = {ext: i for i, ext in enumerate(extents)}
+    extents = [full]
+    intents = [sum(b for b, col in zip(bits, cols) if col == full)]
+    index = {full: 0}
     edges: list[tuple[int, int]] = []
-    for upper, ext in enumerate(extents):
-        below = {ext & col for col in cols}
-        below.discard(ext)
+    for upper, ext in enumerate(extents):  # the walk appends as it goes
+        intent = intents[upper]
+        generators: dict[int, int] = {}
+        for b, col in zip(bits, cols):
+            if not intent & b:
+                cand = ext & col
+                generators[cand] = generators.get(cand, 0) | b
         covers: list[int] = []
         # largest first, so a set is a cover unless a kept cover contains it
-        for cand in sorted(below, key=int.bit_count, reverse=True):
+        for cand in sorted(generators, key=int.bit_count, reverse=True):
             for kept in covers:
                 if cand & kept == cand:
                     break
             else:
                 covers.append(cand)
-        edges.extend((index[cand], upper) for cand in covers)
+                lower = index.setdefault(cand, len(extents))
+                if lower == len(extents):
+                    extents.append(cand)
+                    intents.append(intent | generators[cand])
+                edges.append((lower, upper))
+    order = sorted(range(len(intents)), key=intents.__getitem__)
+    rank = {old: new for new, old in enumerate(order)}
+    concepts = tuple(map(
+        Concept,
+        _indices(_bits([extents[i] for i in order], context.n_objects)),
+        _indices(_bits([intents[i] for i in order], m)[:, ::-1]),
+    ))
     return ConceptLattice(
         context=context,
         concepts=concepts,
-        edges=tuple(sorted(edges)),
+        edges=tuple(sorted((rank[lo], rank[up]) for lo, up in edges)),
         top=0,
         bottom=len(concepts) - 1,
     )

@@ -121,21 +121,20 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     to sub-concept.
 
     Each node shows the attributes introduced at that concept (those in its
-    intent but in no upper neighbor's intent) and its extent size.
+    intent but in no upper neighbor's intent) and its extent size.  An
+    attribute a is introduced at exactly one concept, its attribute concept,
+    whose extent is a', so the labels come from one extent lookup per
+    attribute; every lattice build_lattice returns holds each of them.
     """
     ctx = lattice.context
-    upper_of: dict[int, list[int]] = {i: [] for i in range(len(lattice.concepts))}
-    for lower, upper in lattice.edges:
-        upper_of[lower].append(upper)
+    index = {c.extent: i for i, c in enumerate(lattice.concepts)}
+    introduced: list[list[str]] = [[] for _ in lattice.concepts]
+    for name, col in zip(ctx.attributes, ctx.incidence.T):
+        introduced[index[tuple(np.flatnonzero(col).tolist())]].append(name)
     lines = ["digraph concept_lattice {", "  node [shape=ellipse];"]
-    for i, c in enumerate(lattice.concepts):
-        inherited: set[int] = set()
-        for u in upper_of[i]:
-            inherited.update(lattice.concepts[u].intent)
-        introduced = [a for a in c.intent if a not in inherited]
-        names = ", ".join(ctx.attributes[a] for a in introduced)
+    for i, (c, names) in enumerate(zip(lattice.concepts, introduced)):
         size = f"|extent| = {len(c.extent)}"
-        label = _dot_label([names, size] if names else [size])
+        label = _dot_label([", ".join(names), size] if names else [size])
         lines.append(f"  c{i} [label={label}];")
     for lower, upper in lattice.edges:
         lines.append(f"  c{upper} -> c{lower};")

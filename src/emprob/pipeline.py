@@ -91,9 +91,17 @@ class PipelineConfig:
             bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
         except (TypeError, ValueError):
             raise ValidationError(f"bands must be [lo, hi] pairs, got {self.bands!r}") from None
+        seen: dict[str, tuple[float, float]] = {}
         for lo, hi in bands:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValidationError(f"band must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
+            # two bands with one tag would write the same three files
+            tag = band_tag((lo, hi))
+            if tag in seen:
+                raise ValidationError(
+                    f"bands {seen[tag]} and {(lo, hi)} share the file tag {tag!r}"
+                )
+            seen[tag] = (lo, hi)
         object.__setattr__(self, "bands", bands)
         if not isinstance(self.merge_rules, (list, tuple)):
             raise ValidationError(f"merge_rules must be a list, got {self.merge_rules!r}")

@@ -1,5 +1,5 @@
-"""Reference data shared by the test modules: the unmerged 22-answer schema
-and the reference two-component mixture.
+"""Reference data shared by the test modules: the unmerged 22-answer schema,
+the reference two-component mixture, and formal contexts for the FCA tests.
 
 It lives outside conftest.py because test modules import it by name, and
 the benchmark's tests have a conftest module of their own.
@@ -10,6 +10,7 @@ import json
 import numpy as np
 
 from emprob import (
+    FormalContext,
     GaussianMixture,
     WeightMatrix,
     default_questionnaire,
@@ -94,3 +95,26 @@ REFERENCE_GMM = GaussianMixture(
     means=(0.359548, 0.572878),
     sigmas=(0.128782, 0.156241),
 )
+
+
+def random_context(rng, max_side=8):
+    n_obj = int(rng.integers(1, max_side + 1))
+    n_att = int(rng.integers(1, max_side + 1))
+    inc = rng.random((n_obj, n_att)) < rng.uniform(0.2, 0.8)
+    return FormalContext(
+        objects=tuple(f"o{i}" for i in range(n_obj)),
+        attributes=tuple(f"y{j}" for j in range(n_att)),
+        incidence=inc,
+    )
+
+
+def edge_case_contexts():
+    """No objects, no attributes, duplicate rows, and all ones."""
+    def ctx(inc):
+        n_obj, n_att = inc.shape
+        return FormalContext(tuple(f"o{i}" for i in range(n_obj)),
+                             tuple(f"y{j}" for j in range(n_att)), inc)
+
+    rows = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
+    return [ctx(np.zeros((0, 4), dtype=bool)), ctx(np.zeros((5, 0), dtype=bool)),
+            ctx(rows[[0, 1, 0, 2, 1, 1]]), ctx(np.ones((4, 3), dtype=bool))]

@@ -35,8 +35,8 @@ from emprob import (
     select_component_count,
     silverman_bandwidth,
 )
-from reference_data import REFERENCE_GMM, unmerged_questionnaire
-from test_fca import brute_force_concepts, random_context
+from reference_data import REFERENCE_GMM, random_context, unmerged_questionnaire
+from test_fca import brute_force_concepts
 
 # expert-average weight per answer, two decimals, in shipped answer order
 REFERENCE_AVERAGES = (

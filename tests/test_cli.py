@@ -231,6 +231,23 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bands, tag", [
+    ([[0.0, 0.5], [0.0, 0.5]], "0_0.5"),
+    ([[0.0, 0.1234567], [0.0, 0.12345678]], "0_0.123457"),
+], ids=["repeated-band", "same-file-tag"])
+def test_bands_sharing_a_file_tag_exit_2(tmp_path, capsys, bands, tag):
+    """Two bands with one file tag would write the same three files."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bands": bands}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--output-dir", str(out), "lattice"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bands")
+    assert captured.err.rstrip().endswith(f"share the file tag {tag!r}")
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
 SHIPPED_QUESTIONNAIRE = json.loads(
     (Path(emprob.__file__).parent / "data" / "questionnaire.json").read_text()
 )

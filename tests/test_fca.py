@@ -11,6 +11,7 @@ from emprob import (
     derive,
     enumerate_concepts,
 )
+from reference_data import edge_case_contexts, random_context
 
 DIAGONAL = FormalContext(
     objects=("o1", "o2"),
@@ -28,17 +29,6 @@ def brute_force_concepts(ctx):
             intent = derive(ctx, "objects", ext)
             found.add((frozenset(ext), frozenset(intent)))
     return found
-
-
-def random_context(rng, max_side=8):
-    n_obj = int(rng.integers(1, max_side + 1))
-    n_att = int(rng.integers(1, max_side + 1))
-    inc = rng.random((n_obj, n_att)) < rng.uniform(0.2, 0.8)
-    return FormalContext(
-        objects=tuple(f"o{i}" for i in range(n_obj)),
-        attributes=tuple(f"y{j}" for j in range(n_att)),
-        incidence=inc,
-    )
 
 
 def test_context_validation():
@@ -169,18 +159,6 @@ def test_diamond_lattice():
     assert bottom.extent == () and bottom.intent == (0, 1)
 
 
-def edge_case_contexts():
-    """No objects, no attributes, duplicate rows, and all ones."""
-    def ctx(inc):
-        n_obj, n_att = inc.shape
-        return FormalContext(tuple(f"o{i}" for i in range(n_obj)),
-                             tuple(f"y{j}" for j in range(n_att)), inc)
-
-    rows = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
-    return [ctx(np.zeros((0, 4), dtype=bool)), ctx(np.zeros((5, 0), dtype=bool)),
-            ctx(rows[[0, 1, 0, 2, 1, 1]]), ctx(np.ones((4, 3), dtype=bool))]
-
-
 def test_edges_are_transitive_reduction():
     rng = np.random.default_rng(61)
     contexts = [random_context(rng, max_side=10) for _ in range(40)]
@@ -205,6 +183,13 @@ def test_edges_are_transitive_reduction():
             if not any((i, k) in proper and (k, j) in proper for k in range(len(concepts)))
         }
         assert set(lattice.edges) == covers
+
+
+def test_enumerate_concepts_is_the_lattice_concepts():
+    rng = np.random.default_rng(71)
+    contexts = [random_context(rng, max_side=10) for _ in range(40)]
+    for ctx in contexts + edge_case_contexts():
+        assert enumerate_concepts(ctx) == build_lattice(ctx).concepts
 
 
 def test_band_context_full_range(score_table):

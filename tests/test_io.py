@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from emprob import (
     tree_to_dot,
     write_json,
 )
+from reference_data import edge_case_contexts, random_context
 
 DIAGONAL = FormalContext(
     objects=("case_a", "case_b"),
@@ -186,6 +188,29 @@ def test_lattice_dot_diamond():
     # the bottom concept inherits both attributes from its covers, so it
     # introduces none and shows only its extent size
     assert '"|extent| = 0"' in text
+
+
+def introduced_by_definition(lattice):
+    """Per concept, the attributes in its intent and in no upper cover's intent."""
+    inherited = [set() for _ in lattice.concepts]
+    for lower, upper in lattice.edges:
+        inherited[lower].update(lattice.concepts[upper].intent)
+    return [[a for a in c.intent if a not in inh]
+            for c, inh in zip(lattice.concepts, inherited)]
+
+
+def test_lattice_dot_labels_match_the_definition():
+    rng = np.random.default_rng(67)
+    contexts = [random_context(rng, max_side=10) for _ in range(40)]
+    for ctx in contexts + edge_case_contexts():
+        lattice = build_lattice(ctx)
+        expected = []
+        for c, introduced in zip(lattice.concepts, introduced_by_definition(lattice)):
+            names = ", ".join(ctx.attributes[a] for a in introduced)
+            size = f"|extent| = {len(c.extent)}"
+            expected.append(f"{names}\\n{size}" if names else size)
+        labels = re.findall(r'^  c\d+ \[label="(.*)"\];$', lattice_to_dot(lattice), re.M)
+        assert labels == expected
 
 
 def test_dot_escapes_quotes_in_names():
