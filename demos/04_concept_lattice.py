@@ -4,9 +4,9 @@ Formal concept analysis of a probability band
 
 Which answer patterns characterize the least-probable cases? Restricting
 the score table to one probability band gives a formal context (cases x
-answers); one top-down neighbour pass finds its concepts and the covering
-relation that forms the lattice. Attribute supports summarize the band in
-one table.
+answers); a top-down neighbour walk, one lattice level at a time, finds
+its concepts and the covering relation that forms the lattice. Attribute
+supports summarize the band in one table.
 """
 
 from pathlib import Path

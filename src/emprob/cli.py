@@ -83,7 +83,7 @@ def _print_lattices(result: PipelineResult, args: argparse.Namespace) -> None:
     for (band, ctx), (_, lattice) in zip(result.band_contexts, result.lattices):
         print(
             f"band [{band[0]:g}, {band[1]:g}): {ctx.n_objects} cases, "
-            f"{len(lattice.concepts)} concepts"
+            f"{len(lattice.intents)} concepts"
         )
 
 

@@ -2,18 +2,22 @@
 
 A formal context pairs objects (cases) with attributes (answers) through a
 boolean incidence matrix.  Concepts are maximal rectangles (extent, intent).
-Each attribute's column is held as one Python int over the objects, so a
-derivation is a chain of bitwise ANDs.  The concept lattice is built in one
-top-down pass of Lindig's neighbour step (Lindig 2000, "Fast Concept
-Analysis"): from the top concept down, each concept's lower covers are
-found once and each cover not seen before joins the pass, so it reaches
-every concept and every edge of the lattice diagram.  One sort then puts
-the concepts in lectic order of their intents.
+The concept lattice is built by Lindig's neighbour step (Lindig 2000, "Fast
+Concept Analysis") done one level at a time on arrays: extents are packed
+into 64-bit words over the objects, and each level ANDs all its concepts'
+extents with the attribute columns outside their intents at once, finds
+the candidates' intents, and keeps the lower covers.
+Covers not seen before form the next level, so the walk reaches every
+concept and every edge of the lattice diagram.  One sort then puts the
+concepts in lectic order of their intents.  A ConceptLattice holds the
+result as arrays: intents (concepts x attributes), extents (concepts x
+objects) and covers (edges x 2, (lower, upper) index pairs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -113,18 +117,17 @@ class Concept:
         return tuple(context.attributes[i] for i in self.intent)
 
 
-def _columns(context: FormalContext) -> list[int]:
-    """Each attribute's extent as an int: bit g is set when object g has it."""
-    packed = np.packbits(context.incidence, axis=0, bitorder="little")
-    return [int.from_bytes(packed[:, a].tobytes(), "little") for a in range(context.n_attributes)]
+def _words(rows: np.ndarray, bitorder: str) -> np.ndarray:
+    """Each bool row packed into 64-bit words, shape (rows, words).
 
-
-def _bits(masks: list[int], width: int) -> np.ndarray:
-    """Each bitset of ``width`` bits as a bool row: column j is bit j."""
-    n_bytes = (width + 7) // 8
-    packed = np.frombuffer(b"".join(x.to_bytes(n_bytes, "little") for x in masks), np.uint8)
-    rows = np.unpackbits(packed.reshape(len(masks), n_bytes), axis=1, bitorder="little")
-    return rows[:, :width]
+    With bitorder "big" column 0 is the top bit of word 0, so comparing the
+    words in order compares the rows as binary numbers with column 0 most
+    significant.  Every row gets at least one word.
+    """
+    r, c = rows.shape
+    packed = np.zeros((r, 8 * max(1, -(-c // 64))), np.uint8)
+    packed[:, : -(-c // 8)] = np.packbits(rows, axis=1, bitorder=bitorder)
+    return packed.view(">u8" if bitorder == "big" else "<u8").astype(np.uint64)
 
 
 def _indices(rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -144,74 +147,127 @@ def enumerate_concepts(context: FormalContext) -> tuple[Concept, ...]:
     return build_lattice(context).concepts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConceptLattice:
-    """Concepts plus their covering relation.
+    """Concepts plus their covering relation, held as arrays.
 
-    Edges are (lower, upper) index pairs: the lower concept's extent is
-    contained in the upper's, with no concept strictly between.
+    Row k of ``intents`` (K x attributes) and ``extents`` (K x objects) is
+    concept k, in lectic order of the intents, so concept 0 is the top and
+    the last is the bottom.  ``covers`` (E x 2) holds the (lower, upper)
+    index pairs, sorted: the lower concept's extent is contained in the
+    upper's, with no concept strictly between.  ``concepts`` and ``edges``
+    are the same as tuples, built on first use.
     """
 
     context: FormalContext
-    concepts: tuple[Concept, ...]
-    edges: tuple[tuple[int, int], ...]
-    top: int
-    bottom: int
+    intents: np.ndarray
+    extents: np.ndarray
+    covers: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.intents, self.extents, self.covers):
+            a.setflags(write=False)
+
+    @property
+    def top(self) -> int:
+        return 0
+
+    @property
+    def bottom(self) -> int:
+        return len(self.intents) - 1
+
+    @cached_property
+    def concepts(self) -> tuple[Concept, ...]:
+        return tuple(map(Concept, _indices(self.extents), _indices(self.intents)))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.covers.T.tolist()))
 
 
 def build_lattice(context: FormalContext) -> ConceptLattice:
     """The context's concepts, in lectic order of intents, and their
-    covering relation, from one top-down walk.
+    covering relation, from a top-down walk one level at a time.
 
     Lindig's neighbour step: for a concept (X, Y), every X & a' with a
-    outside Y is a closed extent below X, and the maximal ones among them
-    are X's lower covers.  A cover's intent is Y plus the attributes whose
-    X & a' is that cover, since any other a outside Y gives an X & a' that
-    does not contain it.  Each cover not seen before joins the walk.
+    outside Y is a closed extent below X, and it is a lower cover exactly
+    when every attribute b its intent B adds to Y generates it too, that
+    is, when each such X & b' has an intent as large as B (it always
+    contains X & a', so its intent lies within B).  Level 0 is the top
+    concept; each level after it holds the covers first found from the
+    level before.  A level forms all its concepts' candidates X & a' at
+    once, one 64-bit word of the packed extents at a time, finds their
+    intents from the nonzero words, and ranks each candidate by (intent
+    size, attribute): a candidate no attribute of its intent outranks is a
+    cover, found once from its least generator.  Only the new covers'
+    extents are kept, from their parent's extent and generator column.
+    Intents grow along every cover, so there are at most attributes + 1
+    levels.  One sort of the packed intents then puts the concepts in
+    lectic order.
     """
-    m = context.n_attributes
-    cols = _columns(context)
-    # attribute a is bit m - 1 - a, so intents in numeric order are in
-    # lectic order (attribute 0 decides first)
-    bits = [1 << (m - 1 - a) for a in range(m)]
-    full = (1 << context.n_objects) - 1
-    extents = [full]
-    intents = [sum(b for b, col in zip(bits, cols) if col == full)]
-    index = {full: 0}
-    edges: list[tuple[int, int]] = []
-    for upper, ext in enumerate(extents):  # the walk appends as it goes
-        intent = intents[upper]
-        generators: dict[int, int] = {}
-        for b, col in zip(bits, cols):
-            if not intent & b:
-                cand = ext & col
-                generators[cand] = generators.get(cand, 0) | b
-        covers: list[int] = []
-        # largest first, so a set is a cover unless a kept cover contains it
-        for cand in sorted(generators, key=int.bit_count, reverse=True):
-            for kept in covers:
-                if cand & kept == cand:
-                    break
-            else:
-                covers.append(cand)
-                lower = index.setdefault(cand, len(extents))
-                if lower == len(extents):
-                    extents.append(cand)
-                    intents.append(intent | generators[cand])
-                edges.append((lower, upper))
-    order = sorted(range(len(intents)), key=intents.__getitem__)
-    rank = {old: new for new, old in enumerate(order)}
-    concepts = tuple(map(
-        Concept,
-        _indices(_bits([extents[i] for i in order], context.n_objects)),
-        _indices(_bits([intents[i] for i in order], m)[:, ::-1]),
-    ))
+    inc = context.incidence
+    n, m = inc.shape
+    cols = _words(inc.T, "little").T  # (words, m): each attribute's extent
+    missing = ~cols
+    level_ext = _words(np.ones((1, n), dtype=bool), "little").T  # (words, concepts)
+    level_int = inc.all(axis=0)[None]
+    ext_parts, int_parts = [level_ext], [level_int]
+    keys = _words(level_int, "big")  # the intent of every concept found
+    first = 0  # index of the level's first concept
+    lowers, uppers = [], []
+    last = (m + 1) ** 2  # above every (intent size, attribute) rank
+    while len(level_int):
+        parent, attr = np.nonzero(~level_int)
+        # a candidate's intent: the attributes whose extent holds it, one
+        # word of the candidate extents at a time and from their nonzero
+        # words only (most candidates are small or empty)
+        outside = np.zeros((len(parent), m), dtype=bool)
+        for w in range(len(cols)):
+            words = level_ext[w, parent] & cols[w, attr]
+            hit = np.flatnonzero(words)
+            outside[hit] |= (missing[w] & words[hit, None]) != 0
+        cand_int = ~outside
+        # attributes of Y rank last and never outrank
+        rank = np.full((len(level_int), m), last, dtype=np.min_scalar_type(last))
+        rank[parent, attr] = cand_int.sum(axis=1) * (m + 1) + attr
+        outranked = cand_int & (rank[parent] < rank[parent, attr][:, None])
+        cover = np.flatnonzero(~outranked.any(axis=1))
+        cover_keys = _words(cand_int[cover], "big")
+        # number the covers: a cover found before, at this level or an
+        # earlier one, keeps its number, and the first of each new intent
+        # gets the next free one
+        both = np.concatenate([keys, cover_keys])
+        order = np.lexsort(both.T[::-1])  # stable: a known intent leads its run
+        start = np.ones(len(order), dtype=bool)
+        start[1:] = (both[order[1:]] != both[order[:-1]]).any(axis=1)
+        leader = np.empty_like(order)
+        leader[order] = order[start][np.cumsum(start) - 1]
+        n_known = len(keys)
+        lead = leader[n_known:]
+        new = lead == np.arange(n_known, len(both))
+        ids = np.arange(len(both))
+        ids[n_known:][new] = n_known + np.arange(np.count_nonzero(new))
+        lowers.append(ids[lead])
+        uppers.append(first + parent[cover])
+        fresh = cover[new]
+        level_ext = level_ext[:, parent[fresh]] & cols[:, attr[fresh]]
+        level_int = cand_int[fresh]
+        ext_parts.append(level_ext)
+        int_parts.append(level_int)
+        keys = np.concatenate([keys, cover_keys[new]])
+        first = n_known
+    order = np.lexsort(keys.T[::-1])
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    lower, upper = position[np.concatenate(lowers)], position[np.concatenate(uppers)]
+    edge_order = np.lexsort((upper, lower))
+    extents = np.concatenate(ext_parts, axis=1)[:, order].T.astype("<u8", order="C")
+    extents = np.unpackbits(extents.view(np.uint8), axis=1, count=n, bitorder="little")
     return ConceptLattice(
         context=context,
-        concepts=concepts,
-        edges=tuple(sorted((rank[lo], rank[up]) for lo, up in edges)),
-        top=0,
-        bottom=len(concepts) - 1,
+        intents=np.concatenate(int_parts)[order],
+        extents=extents.view(bool),
+        covers=np.stack([lower[edge_order], upper[edge_order]], axis=1),
     )
 
 

@@ -48,28 +48,35 @@ def export_cxt(context: FormalContext, path: str | Path) -> None:
 
 
 def read_cxt(path: str | Path) -> FormalContext:
-    """Read a Burmeister context file written by export_cxt."""
+    """Read a Burmeister context file written by export_cxt.
+
+    Lines are read by position, so a blank or whitespace-only name and the
+    empty incidence rows of a context without attributes read back as
+    written.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != "B":
         raise ValidationError(f"{path}: not a Burmeister context (missing 'B' header)")
-    body = [ln for ln in lines[1:] if ln.strip() != ""]
     try:
-        n_obj = int(body[0])
-        n_att = int(body[1])
+        n_obj, n_att = int(lines[2]), int(lines[3])
     except (IndexError, ValueError):
         raise ValidationError(f"{path}: malformed object/attribute counts") from None
-    expected = 2 + n_obj + n_att + n_obj
-    if len(body) < expected:
+    if n_obj < 0 or n_att < 0:
+        raise ValidationError(f"{path}: malformed object/attribute counts")
+    if len(lines) < 5 + n_obj + n_att + n_obj:
         raise ValidationError(f"{path}: truncated context file")
-    objects = tuple(body[2 : 2 + n_obj])
-    attributes = tuple(body[2 + n_obj : 2 + n_obj + n_att])
-    rows = body[2 + n_obj + n_att : expected]
+    if lines[4].strip():
+        raise ValidationError(f"{path}: no blank line after the object/attribute counts")
+    names = lines[5 : 5 + n_obj + n_att]
+    rows = lines[5 + n_obj + n_att : 5 + n_obj + n_att + n_obj]
     inc = np.zeros((n_obj, n_att), dtype=bool)
     for i, row in enumerate(rows):
         if len(row) != n_att or any(ch not in "X." for ch in row):
             raise ValidationError(f"{path}: bad incidence row {i}: {row!r}")
         inc[i] = [ch == "X" for ch in row]
-    return FormalContext(objects=objects, attributes=attributes, incidence=inc)
+    return FormalContext(
+        objects=tuple(names[:n_obj]), attributes=tuple(names[n_obj:]), incidence=inc
+    )
 
 
 def _dot_escape(s: str) -> str:
@@ -123,23 +130,25 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     Each node shows the attributes introduced at that concept (those in its
     intent but in no upper neighbor's intent) and its extent size.  An
     attribute a is introduced at exactly one concept, its attribute concept,
-    whose extent is a', so the labels come from one extent lookup per
-    attribute; every lattice build_lattice returns holds each of them.
+    whose extent a' is the largest of all concepts whose intent holds a, so
+    the labels come from one argmax over the extent sizes; the edges are
+    the rows of ``lattice.covers``.
     """
-    ctx = lattice.context
-    index = {c.extent: i for i, c in enumerate(lattice.concepts)}
-    introduced: list[list[str]] = [[] for _ in lattice.concepts]
-    for name, col in zip(ctx.attributes, ctx.incidence.T):
-        introduced[index[tuple(np.flatnonzero(col).tolist())]].append(name)
-    lines = ["digraph concept_lattice {", "  node [shape=ellipse];"]
-    for i, (c, names) in enumerate(zip(lattice.concepts, introduced)):
-        size = f"|extent| = {len(c.extent)}"
-        label = _dot_label([", ".join(names), size] if names else [size])
-        lines.append(f"  c{i} [label={label}];")
-    for lower, upper in lattice.edges:
-        lines.append(f"  c{upper} -> c{lower};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    sizes = lattice.extents.sum(axis=1)
+    home = np.where(lattice.intents, sizes[:, None], -1).argmax(axis=0).tolist()
+    nodes = list(map('  c%d [label="|extent| = %d"];'.__mod__, enumerate(sizes.tolist())))
+    introduced: dict[int, list[str]] = {}
+    for name, k in zip(lattice.context.attributes, home):
+        introduced.setdefault(k, []).append(name)
+    for k, names in introduced.items():
+        label = _dot_label([", ".join(names), f"|extent| = {sizes[k]}"])
+        nodes[k] = f"  c{k} [label={label}];"
+    # an edge line is its upper node's head and its lower node's tail
+    head = np.array(["  c%d -> " % k for k in range(len(nodes))], dtype=object)
+    tail = np.array(["c%d;\n" % k for k in range(len(nodes))], dtype=object)
+    edges = np.stack([head[lattice.covers[:, 1]], tail[lattice.covers[:, 0]]], axis=1)
+    lines = ["digraph concept_lattice {", "  node [shape=ellipse];", *nodes, ""]
+    return "\n".join(lines) + "".join(edges.ravel().tolist()) + "}\n"
 
 
 def export_dot(graph: TreeNode | ConceptLattice, path: str | Path) -> None:

@@ -236,3 +236,53 @@ def test_band_context_rejects_bad_bands(score_table):
     for band in ((-0.1, 0.5), (0.5, 1.1), (0.5, 0.5), (0.7, 0.2)):
         with pytest.raises(ValidationError):
             build_band_context(score_table, band)
+
+
+def reference_lattice(ctx):
+    """Intents (lectic order), extents and sorted (lower, upper) covers of
+    a context, by definition: the intents are the intersections of object
+    intents plus the full attribute set, and the covers are the transitive
+    reduction of proper extent inclusion."""
+    m = ctx.n_attributes
+    found = {frozenset(range(m))}
+    for row in ctx.incidence:
+        g = frozenset(np.flatnonzero(row).tolist())
+        found |= {g & b for b in found}
+    intents = np.array(sorted(tuple(a in b for a in range(m)) for b in found), dtype=bool)
+    extents = (ctx.incidence[None] | ~intents[:, None]).all(axis=2)
+    below = (extents[:, None] <= extents[None]).all(axis=2) & ~np.eye(len(found), dtype=bool)
+    step = below.astype(np.int64)
+    covers = np.argwhere(below & (step @ step == 0))
+    return intents, extents, covers
+
+
+def test_identity_context_wider_than_a_word():
+    n = 70
+    ctx = FormalContext(
+        objects=tuple(f"o{i}" for i in range(n)),
+        attributes=tuple(f"y{j}" for j in range(n)),
+        incidence=np.eye(n, dtype=bool),
+    )
+    lattice = build_lattice(ctx)
+    # top, one concept per object, bottom; each object concept covers the
+    # bottom and is covered by the top
+    assert len(lattice.concepts) == 72
+    assert len(lattice.edges) == 140
+    assert lattice.concepts[lattice.top].extent == tuple(range(n))
+    assert lattice.concepts[lattice.bottom].intent == tuple(range(n))
+
+
+def test_wide_sparse_contexts_match_the_definition():
+    rng = np.random.default_rng(73)
+    for n_obj, n_att, density in ((65, 70, 0.05), (130, 66, 0.04), (100, 129, 0.03)):
+        ctx = FormalContext(
+            objects=tuple(f"o{i}" for i in range(n_obj)),
+            attributes=tuple(f"y{j}" for j in range(n_att)),
+            incidence=rng.random((n_obj, n_att)) < density,
+        )
+        intents, extents, covers = reference_lattice(ctx)
+        lattice = build_lattice(ctx)
+        np.testing.assert_array_equal(lattice.intents, intents)
+        np.testing.assert_array_equal(lattice.extents, extents)
+        np.testing.assert_array_equal(lattice.covers, covers)
+        assert lattice.edges == tuple(map(tuple, covers.tolist()))

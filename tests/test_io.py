@@ -50,14 +50,21 @@ def test_export_cxt_layout(tmp_path):
 
 def test_cxt_round_trip(tmp_path):
     rng = np.random.default_rng(11)
-    for k in range(5):
+    contexts = []
+    for _ in range(5):
         n_obj = int(rng.integers(1, 9))
         n_att = int(rng.integers(1, 9))
-        ctx = FormalContext(
+        contexts.append(FormalContext(
             objects=tuple(f"o{i}" for i in range(n_obj)),
             attributes=tuple(f"y{j}" for j in range(n_att)),
             incidence=rng.random((n_obj, n_att)) < 0.5,
-        )
+        ))
+    # a whitespace-only name is a line of its own, not a blank separator
+    blank_name = FormalContext(
+        objects=("o1", "o2"), attributes=("y1", " "),
+        incidence=np.array([[1, 0], [1, 1]], dtype=bool),
+    )
+    for k, ctx in enumerate(contexts + edge_case_contexts() + [blank_name]):
         path = tmp_path / f"round_{k}.cxt"
         export_cxt(ctx, path)
         back = read_cxt(path)
@@ -82,6 +89,8 @@ def test_read_cxt_errors(tmp_path):
         "truncated.cxt": "B\n\n2\n2\n\no1\no2\ny1\ny2\nX.\n",
         "bad_row.cxt": "B\n\n1\n2\n\no1\ny1\ny2\nXQ\n",
         "short_row.cxt": "B\n\n1\n2\n\no1\ny1\ny2\nX\n",
+        "negative_count.cxt": "B\n\n-1\n1\n\ny1\n",
+        "no_blank_line.cxt": "B\n\n1\n1\no1\ny1\nX\n\n",
     }
     for name, text in cases.items():
         path = tmp_path / name

@@ -16,9 +16,12 @@ from emprob import (
     SILVERMAN_CONVENTIONS,
     ValidationError,
     band_tag,
+    build_band_context,
+    build_lattice,
     categorize_array,
     em_fit,
     fit_report_document,
+    lattice_to_dot,
     load_inputs,
     node_count,
     prepare,
@@ -244,6 +247,16 @@ def test_default_lattices_match_reference(result, tmp_path):
     for tag, (_, _, digest) in DEFAULT_LATTICES.items():
         dot = (tmp_path / f"lattice_{tag}.dot").read_bytes()
         assert hashlib.sha256(dot).hexdigest() == digest, tag
+
+
+def test_one_band_lattice_matches_reference(result):
+    """All 1,536 cases as one band: the largest lattice of the shipped data
+    (8,101 concepts, 41,919 edges), with the SHA-256 of its DOT text."""
+    ctx = build_band_context(result.table, (0.0, 1.0))
+    lattice = build_lattice(ctx)
+    assert (ctx.n_objects, len(lattice.intents), len(lattice.covers)) == (1536, 8101, 41919)
+    digest = hashlib.sha256(lattice_to_dot(lattice).encode()).hexdigest()
+    assert digest == "3421aebfbd59e06cd1eb9f8553fa5e40f98796892b1d97ae8c8e7f145e6aa8cb"
 
 
 # SHA-256 of the default trees' DOT files and of the category column of
