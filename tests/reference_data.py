@@ -1,17 +1,21 @@
 """Reference data shared by the test modules: the unmerged 22-answer schema,
-the reference two-component mixture, and formal contexts for the FCA tests.
+the reference two-component mixture, formal contexts for the FCA tests, and
+a per-node tree grower and a round-based pruner as oracles for the tree.
 
 It lives outside conftest.py because test modules import it by name, and
 the benchmark's tests have a conftest module of their own.
 """
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
 from emprob import (
     FormalContext,
     GaussianMixture,
+    TreeNode,
     WeightMatrix,
     default_questionnaire,
     default_weight_matrix,
@@ -118,3 +122,101 @@ def edge_case_contexts():
     rows = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
     return [ctx(np.zeros((0, 4), dtype=bool)), ctx(np.zeros((5, 0), dtype=bool)),
             ctx(rows[[0, 1, 0, 2, 1, 1]]), ctx(np.ones((4, 3), dtype=bool))]
+
+
+def _gini(counts):
+    n = sum(counts)
+    return 1.0 - sum((c / n) ** 2 for c in counts)
+
+
+def _majority(counts):
+    best = 0
+    for k, c in enumerate(counts):
+        if c > counts[best]:
+            best = k
+    return best
+
+
+def reference_tree(matrix, labels, answer_ids):
+    """The Gini tree grown one node at a time: every answer's split is
+    scored with its own bincount and compared with the best so far by exact
+    integer cross-multiplication (strict improvement, the first best answer
+    kept on ties)."""
+    matrix = np.asarray(matrix, dtype=bool)
+    labels = np.asarray(labels)
+
+    def grow(idx, depth):
+        node_counts = tuple(int(c) for c in np.bincount(labels[idx], minlength=3))
+        node = TreeNode(counts=node_counts, prediction=_majority(node_counts),
+                        impurity=_gini(node_counts), depth=depth)
+        n = int(idx.size)
+        if max(node_counts) == n:
+            return node
+        best_num, best_den, best_j = sum(c * c for c in node_counts), n, None
+        for j in range(len(answer_ids)):
+            col = matrix[idx, j]
+            n_left = int(col.sum())
+            if not 0 < n_left < n:
+                continue
+            left = tuple(int(c) for c in np.bincount(labels[idx[col]], minlength=3))
+            right = tuple(a - b for a, b in zip(node_counts, left))
+            n_right = n - n_left
+            num = sum(c * c for c in left) * n_right + sum(c * c for c in right) * n_left
+            den = n_left * n_right
+            if num * best_den > best_num * den:
+                best_num, best_den, best_j = num, den, j
+        if best_j is None:
+            return node
+        col = matrix[idx, best_j]
+        true_idx, false_idx = idx[col], idx[~col]
+        node.split_answer_index, node.split_answer_id = best_j, answer_ids[best_j]
+        node.true_child = grow(true_idx, depth + 1)
+        node.false_child = grow(false_idx, depth + 1)
+        node.gain = node.impurity - (
+            true_idx.size * node.true_child.impurity + false_idx.size * node.false_child.impurity
+        ) / n
+        return node
+
+    return grow(np.arange(matrix.shape[0]), 0)
+
+
+def _copy(node):
+    if node.is_leaf:
+        return replace(node)
+    return replace(node, true_child=_copy(node.true_child), false_child=_copy(node.false_child))
+
+
+def link_strengths(root):
+    """Every internal node with its link strength g = (R_leaf - R_subtree) /
+    (leaves - 1), errors normalized by the root's sample count, exact."""
+    links = []
+    n_total = root.n_samples
+
+    def walk(node):  # (subtree error, leaves)
+        leaf_error = node.n_samples - max(node.counts)
+        if node.is_leaf:
+            return leaf_error, 1
+        e_true, l_true = walk(node.true_child)
+        e_false, l_false = walk(node.false_child)
+        error, leaves = e_true + e_false, l_true + l_false
+        links.append((node, Fraction(leaf_error - error, n_total * (leaves - 1))))
+        return error, leaves
+
+    walk(root)
+    return links
+
+
+def reference_prune(root, alpha):
+    """Weakest-link pruning in rounds: collapse every node whose link
+    strength is the current minimum, while that minimum is below alpha."""
+    root = _copy(root)
+    while not root.is_leaf:
+        links = link_strengths(root)
+        g_min = min(g for _, g in links)
+        if not g_min < alpha:
+            break
+        for node, g in links:
+            if g == g_min:
+                node.split_answer_index = node.split_answer_id = node.gain = None
+                node.true_child = node.false_child = None
+    return root

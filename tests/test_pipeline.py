@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import hashlib
 import json
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,31 @@ def test_default_trees_and_categories_match_reference(result, tmp_path):
         labels = [row["category"] for row in csv.DictReader(fh)]
     assert len(labels) == 1536
     assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == DEFAULT_CATEGORY_DIGEST
+
+
+def test_reversed_doctor_rows_keep_the_trees(tmp_path):
+    """Mean weights are exact, so the order of the doctors moves no byte."""
+    header, *rows = (files("emprob.data") / "weights.csv").read_text().splitlines()
+    weights = tmp_path / "weights.csv"
+    weights.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    pipeline.write_trees(prepare(PipelineConfig(weights_path=str(weights))), tmp_path)
+    for name, digest in DEFAULT_TREE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_reversed_questions_keep_the_tree_sizes(tmp_path):
+    """Reversing the questions reverses the answer columns.  Every case keeps
+    its category and the trees keep their sizes and root, but Gini ties
+    resolve to the lowest answer index, so some split labels move."""
+    doc = json.loads((files("emprob.data") / "questionnaire.json").read_text())
+    doc["questions"].reverse()
+    questionnaire = tmp_path / "questionnaire.json"
+    questionnaire.write_text(json.dumps(doc))
+    reversed_result = prepare(PipelineConfig(questionnaire_path=str(questionnaire)))
+    assert reversed_result.case_set.answer_ids[0] == "a_1_q6"
+    assert node_count(reversed_result.tree_full) == 679
+    assert node_count(reversed_result.tree_pruned) == 25
+    assert reversed_result.tree_full.split_answer_id == "a_1_q3"
 
 
 def test_equal_sums_get_identical_scores(result):

@@ -1,9 +1,11 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import emprob.tree
 from emprob import (
     ValidationError,
     fit_decision_tree,
@@ -15,13 +17,44 @@ from emprob import (
     tree_depth,
     tree_to_dot,
 )
+from reference_data import link_strengths, reference_prune, reference_tree
 
 IDS3 = ("f0", "f1", "f2")
 
 
-def grow(matrix, labels):
-    """A tree over hand-built indicator columns f0, f1, f2."""
-    return fit_decision_tree(SimpleNamespace(matrix=matrix, answer_ids=IDS3), labels)
+def grow(matrix, labels, answer_ids=IDS3):
+    """A tree over hand-built indicator columns, by default f0, f1, f2."""
+    return fit_decision_tree(SimpleNamespace(matrix=matrix, answer_ids=answer_ids), labels)
+
+
+def assert_matches_reference(matrix, labels):
+    ids = tuple(f"f{j}" for j in range(matrix.shape[1]))
+    tree, expected = grow(matrix, labels, ids), reference_tree(matrix, labels, ids)
+    assert tree_to_dot(tree) == tree_to_dot(expected)
+    assert tree == expected  # every field, gain floats included
+    return tree, expected
+
+
+def random_inputs(rng, n_max=120, m_max=8):
+    """Indicator matrices with independent, duplicated and complementary
+    columns or few distinct rows, so that many splits tie, and labels that
+    are random or follow the first column."""
+    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
+    kind = rng.integers(4)
+    if kind == 0:
+        matrix = rng.random((n, m)) < rng.uniform(0.05, 0.95)
+    elif kind == 1:
+        matrix = (rng.random((n, m // 2 + 1)) < 0.5)[:, rng.integers(0, m // 2 + 1, m)]
+    elif kind == 2:
+        half = rng.random((n, m // 2 + 1)) < 0.5
+        matrix = np.concatenate([half, ~half], axis=1)[:, :m]
+    else:
+        matrix = (rng.random((3, m)) < 0.5)[rng.integers(0, 3, n)]
+    if rng.random() < 0.5:
+        labels = rng.integers(0, rng.integers(1, 4), n)
+    else:
+        labels = (matrix[:, 0] + rng.integers(0, 2, n)) % 3
+    return matrix, labels
 
 
 def _weighted_child_gini(matrix, labels, j, n_labels=3):
@@ -81,6 +114,49 @@ def test_label_tie_breaks_to_lowest_category():
 def test_empty_case_set_rejected():
     with pytest.raises(ValidationError):
         grow(np.zeros((0, 3), dtype=bool), np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 1.0], ["0", "1"]])
+def test_non_integer_labels_rejected(labels):
+    with pytest.raises(ValidationError, match="integers"):
+        grow(np.eye(2, 3, dtype=bool), np.array(labels))
+
+
+def test_random_trees_match_reference():
+    rng = np.random.default_rng(16)
+    for _ in range(150):
+        tree, expected = assert_matches_reference(*random_inputs(rng))
+        for alpha in (0.0, 0.01, 0.05, 0.2):
+            assert prune_tree(tree, alpha) == reference_prune(expected, alpha), alpha
+
+
+def test_exact_comparison_picks_among_close_leaders(monkeypatch):
+    # float scores this close are rare, so widen the shortlist: most nodes
+    # then choose their split by the exact comparison alone
+    monkeypatch.setattr(emprob.tree, "_REL", 0.5)
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        assert_matches_reference(*random_inputs(rng))
+
+
+def test_tree_on_more_cases_than_int64_cross_products_allow():
+    # num * best_den grows like n^5 / 16 and passes 2^63 near 10,800 cases
+    rng = np.random.default_rng(12288)
+    matrix = rng.random((12288, 8)) < rng.uniform(0.2, 0.8, 8)
+    labels = (matrix[:, :3].sum(axis=1) + (rng.random(12288) < 0.3)) % 3
+    tree, expected = assert_matches_reference(matrix, labels)
+    assert node_count(tree) == 495
+    for alpha in (0.0, 0.001, 0.01):
+        assert prune_tree(tree, alpha) == reference_prune(expected, alpha), alpha
+
+
+@pytest.mark.parametrize("matrix, labels", [
+    (np.zeros((5, 0), dtype=bool), np.array([0, 1, 2, 2, 1])),  # no answer to test
+    (np.array([[1, 0, 1]], dtype=bool), np.array([2])),  # one case
+])
+def test_degenerate_inputs_give_one_leaf(matrix, labels):
+    tree, _ = assert_matches_reference(matrix, labels)
+    assert tree.is_leaf and tree.counts == tuple(np.bincount(labels, minlength=3))
 
 
 def test_split_requires_strict_improvement():
@@ -179,3 +255,29 @@ def test_prune_default_tree_sizes(tree_full):
         pruned = prune_tree(tree_full, alpha)
         assert (node_count(pruned), leaf_count(pruned)) == sizes, alpha
     assert tree_to_dot(tree_full) == before  # no node of the input changed
+
+
+def test_prune_default_tree_matches_reference(tree_full):
+    strengths = sorted({g for _, g in link_strengths(tree_full)})
+    sample = [strengths[i] for i in np.linspace(0, len(strengths) - 1, 40).round().astype(int)]
+    assert len(set(sample)) == 40
+    for alpha in [*PRUNED_SIZES, *map(float, sample)]:
+        expected = tree_to_dot(reference_prune(tree_full, alpha))
+        assert tree_to_dot(prune_tree(tree_full, alpha)) == expected, alpha
+
+
+def test_prune_keeps_a_subtree_whose_link_strength_equals_alpha():
+    # 16 cases, so the link strengths 1/8 (the f1 split under f0) and 1/4
+    # (the root, once that split is gone) equal a float alpha exactly
+    matrix = np.zeros((16, 2), dtype=bool)
+    matrix[:8, 0] = True
+    matrix[:6, 1] = matrix[8:10, 1] = True
+    labels = np.array([2] * 6 + [0] * 10)
+    root = grow(matrix, labels, ("f0", "f1"))
+    assert node_count(root) == 5
+    assert sorted(g for _, g in link_strengths(root)) == [Fraction(1, 8), Fraction(3, 16)]
+    for alpha, nodes in ((0.125, 5), (np.nextafter(0.125, 1.0), 3), (0.25, 3),
+                         (np.nextafter(0.25, 1.0), 1)):
+        pruned = prune_tree(root, alpha)
+        assert node_count(pruned) == nodes, alpha
+        assert pruned == reference_prune(root, alpha), alpha
