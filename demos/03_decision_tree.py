@@ -19,10 +19,10 @@ from emprob import (
     enumerate_cases,
     export_dot,
     fit_decision_tree,
+    iter_nodes,
     leaf_count,
     mean_weights,
     node_count,
-    predict_matrix,
     prune_tree,
     tree_depth,
     weight_sum_table,
@@ -70,7 +70,8 @@ export_dot(prune_tree(tree, 0.01), out / "tree_pruned.dot")
 print(f"\nwrote {out / 'tree_full.dot'}")
 print(f"wrote {out / 'tree_pruned.dot'}")
 
-# prediction walks answer tests from the root; on its training cases the
-# full tree reproduces the labels exactly
-agree = (predict_matrix(tree, cases.matrix) == scores.category).mean()
+# each case walks the answer tests from the root to a leaf, which predicts
+# its majority category, so the training agreement is the leaves' majority
+# counts over all cases: the full tree reproduces the labels exactly
+agree = sum(max(n.counts) for n in iter_nodes(tree) if n.is_leaf) / tree.n_samples
 print(f"training-label agreement of the full tree: {agree:.3f}")

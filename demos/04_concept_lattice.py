@@ -17,7 +17,6 @@ from emprob import (
     build_lattice,
     default_questionnaire,
     default_weight_matrix,
-    derive,
     elicit_probabilities,
     em_fit,
     enumerate_cases,
@@ -40,23 +39,24 @@ scores = elicit_probabilities(table, gmm, kde)
 ctx = build_band_context(scores, (0.0, 0.1), approach=1)
 print(f"band [0, 0.1): {ctx.n_objects} cases, {ctx.n_attributes} answers")
 
-# derivation in both directions: the attributes shared by a case set, and
-# the cases sharing an attribute set (a Galois connection)
-no_outdoor = derive(ctx, "attributes", ("a_2_q6",))
-both = derive(ctx, "attributes", ("a_2_q4", "a_2_q6"))
-print(f"cases without outdoor activity: {len(no_outdoor)}")
-print(f"... that also saw no tick bite: {len(both)}")
-print(f"support a_2_q6: {ctx.support(('a_2_q6',))}")
+# derivation reads the incidence (cases x answers): the cases having every
+# answer of a set are the rows whose columns for that set are all true
+col = {answer: j for j, answer in enumerate(ctx.attributes)}
+no_outdoor = ctx.incidence[:, col["a_2_q6"]]
+both = no_outdoor & ctx.incidence[:, col["a_2_q4"]]
+print(f"cases without outdoor activity: {no_outdoor.sum()}")
+print(f"... that also saw no tick bite: {both.sum()}")
+print(f"support a_2_q6: {ctx.incidence.sum(axis=0)[col['a_2_q6']]}")
 
 # every concept is a maximal rectangle of the incidence: a case set and
-# the exact attribute set those cases share
+# the exact attribute set those cases share, row k of lattice.extents and
+# of lattice.intents
 lattice = build_lattice(ctx)
-print(f"concepts: {len(lattice.concepts)}, covering edges: {len(lattice.edges)}")
-widest = max(lattice.concepts, key=lambda c: len(c.extent) * len(c.intent))
-print(
-    f"largest rectangle: {len(widest.extent)} cases x "
-    f"{len(widest.intent)} answers {widest.intent_names(ctx)}"
-)
+print(f"concepts: {len(lattice.intents)}, covering edges: {len(lattice.covers)}")
+n_cases, n_answers = lattice.extents.sum(axis=1), lattice.intents.sum(axis=1)
+widest = int((n_cases * n_answers).argmax())
+answers = tuple(a for a, has in zip(ctx.attributes, lattice.intents[widest]) if has)
+print(f"largest rectangle: {n_cases[widest]} cases x {n_answers[widest]} answers {answers}")
 
 # three artifacts per band: a Burmeister context for FCA tools, a DOT
 # lattice diagram, and the single/pair support counts

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -53,55 +52,6 @@ class FormalContext:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def _attr_mask(self, attrs: Iterable[str]) -> np.ndarray:
-        mask = np.zeros(self.n_attributes, dtype=bool)
-        for a in attrs:
-            try:
-                mask[self.attributes.index(a)] = True
-            except ValueError:
-                raise ValidationError(f"unknown attribute {a!r}") from None
-        return mask
-
-    def extent_mask(self, attr_mask: np.ndarray) -> np.ndarray:
-        """Objects that have every attribute of the mask."""
-        return self.incidence[:, attr_mask].all(axis=1)
-
-    def intent_mask(self, object_mask: np.ndarray) -> np.ndarray:
-        """Attributes shared by every object of the mask."""
-        return self.incidence[object_mask].all(axis=0)
-
-    def extent_of(self, attrs: Iterable[str]) -> tuple[str, ...]:
-        mask = self.extent_mask(self._attr_mask(attrs))
-        return tuple(o for o, m in zip(self.objects, mask) if m)
-
-    def intent_of(self, objs: Iterable[str]) -> tuple[str, ...]:
-        mask = np.zeros(self.n_objects, dtype=bool)
-        for o in objs:
-            try:
-                mask[self.objects.index(o)] = True
-            except ValueError:
-                raise ValidationError(f"unknown object {o!r}") from None
-        amask = self.intent_mask(mask)
-        return tuple(a for a, m in zip(self.attributes, amask) if m)
-
-    def support(self, attrs: Iterable[str]) -> int:
-        """Number of objects having all the given attributes."""
-        return int(self.extent_mask(self._attr_mask(attrs)).sum())
-
-
-def derive(context: FormalContext, side: str, s: Iterable[str]) -> tuple[str, ...]:
-    """Derivation (prime) operator.
-
-    side="attributes": s is a set of attributes, returns the objects having
-    them all.  side="objects": s is a set of objects, returns their common
-    attributes.  The empty set derives to the whole other side.
-    """
-    if side == "attributes":
-        return context.extent_of(s)
-    if side == "objects":
-        return context.intent_of(s)
-    raise ValidationError(f"side must be 'objects' or 'attributes', got {side!r}")
-
 
 @dataclass(frozen=True)
 class Concept:
@@ -109,12 +59,6 @@ class Concept:
 
     extent: tuple[int, ...]
     intent: tuple[int, ...]
-
-    def extent_names(self, context: FormalContext) -> tuple[str, ...]:
-        return tuple(context.objects[i] for i in self.extent)
-
-    def intent_names(self, context: FormalContext) -> tuple[str, ...]:
-        return tuple(context.attributes[i] for i in self.intent)
 
 
 def _words(rows: np.ndarray, bitorder: str) -> np.ndarray:

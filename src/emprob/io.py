@@ -8,7 +8,6 @@ exactly and re-running a pipeline reproduces files byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 from emprob.fca import ConceptLattice, FormalContext
 from emprob.schema import ValidationError
 from emprob.scoring import ProbabilityCategory, ScoreTable, ill_component
-from emprob.tree import TreeNode, iter_nodes
+from emprob.tree import TreeNode
 
 CATEGORY_NAMES = tuple(c.name for c in ProbabilityCategory)
 
@@ -47,38 +46,6 @@ def export_cxt(context: FormalContext, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_cxt(path: str | Path) -> FormalContext:
-    """Read a Burmeister context file written by export_cxt.
-
-    Lines are read by position, so a blank or whitespace-only name and the
-    empty incidence rows of a context without attributes read back as
-    written.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "B":
-        raise ValidationError(f"{path}: not a Burmeister context (missing 'B' header)")
-    try:
-        n_obj, n_att = int(lines[2]), int(lines[3])
-    except (IndexError, ValueError):
-        raise ValidationError(f"{path}: malformed object/attribute counts") from None
-    if n_obj < 0 or n_att < 0:
-        raise ValidationError(f"{path}: malformed object/attribute counts")
-    if len(lines) < 5 + n_obj + n_att + n_obj:
-        raise ValidationError(f"{path}: truncated context file")
-    if lines[4].strip():
-        raise ValidationError(f"{path}: no blank line after the object/attribute counts")
-    names = lines[5 : 5 + n_obj + n_att]
-    rows = lines[5 + n_obj + n_att : 5 + n_obj + n_att + n_obj]
-    inc = np.zeros((n_obj, n_att), dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != n_att or any(ch not in "X." for ch in row):
-            raise ValidationError(f"{path}: bad incidence row {i}: {row!r}")
-        inc[i] = [ch == "X" for ch in row]
-    return FormalContext(
-        objects=tuple(names[:n_obj]), attributes=tuple(names[n_obj:]), incidence=inc
-    )
-
-
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -94,18 +61,20 @@ def tree_to_dot(root: TreeNode) -> str:
     Every node shows its majority category with that category's percentage
     and case count, plus the per-category counts; internal nodes lead with
     the tested answer.  Edges are labeled yes (answer present) and no.
+    Nodes are numbered in preorder during one walk; a parent writes the
+    heads of its two edge lines and each child completes its own.
     """
     lines = ["digraph decision_tree {", "  node [shape=box];"]
-    ids: dict[int, str] = {}
-    for k, node in enumerate(iter_nodes(root)):
-        ids[id(node)] = f"n{k}"
-    for node in iter_nodes(root):
-        nid = ids[id(node)]
-        pct = node.percentages[node.prediction]
-        majority = (
-            f"{CATEGORY_NAMES[node.prediction]} {pct:.1f}% "
-            f"({node.counts[node.prediction]} of {node.n_samples})"
-        )
+    edges: list[str] = []
+    stack: list[tuple[TreeNode, int]] = [(root, -1)]  # (node, its edge's index)
+    while stack:
+        node, edge = stack.pop()
+        nid = f"n{len(lines) - 2}"
+        if edge >= 0:
+            edges[edge] += f"{nid} [label={'no' if edge % 2 else 'yes'}];"
+        k, n = node.prediction, node.n_samples
+        c = node.counts[k]
+        majority = f"{CATEGORY_NAMES[k]} {100.0 * c / n:.1f}% ({c} of {n})"
         counts = "counts " + "/".join(str(c) for c in node.counts)
         if node.is_leaf:
             label = _dot_label([majority, counts])
@@ -113,14 +82,9 @@ def tree_to_dot(root: TreeNode) -> str:
         else:
             label = _dot_label([f"{node.split_answer_id}?", majority, counts])
             lines.append(f"  {nid} [label={label}];")
-    for node in iter_nodes(root):
-        if node.is_leaf:
-            continue
-        nid = ids[id(node)]
-        lines.append(f"  {nid} -> {ids[id(node.true_child)]} [label=yes];")
-        lines.append(f"  {nid} -> {ids[id(node.false_child)]} [label=no];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            edges += [f"  {nid} -> "] * 2
+            stack += [(node.false_child, len(edges) - 1), (node.true_child, len(edges) - 2)]
+    return "\n".join([*lines, *edges, "}"]) + "\n"
 
 
 def lattice_to_dot(lattice: ConceptLattice) -> str:
@@ -178,62 +142,6 @@ def export_scores_csv(table: ScoreTable, path: str | Path) -> None:
         row.append(CATEGORY_NAMES[table.category[i]])
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-@dataclass(frozen=True)
-class ParsedScores:
-    """In-memory form of a scores CSV, for round-trip checks."""
-
-    case_ids: tuple[int, ...]
-    answer_ids: tuple[str, ...]
-    matrix: np.ndarray
-    raw_sums: np.ndarray
-    normalized: np.ndarray
-    score_gmm_cdf: np.ndarray
-    score_kde_cdf: np.ndarray
-    score_posterior: np.ndarray
-    category: np.ndarray
-
-
-def read_scores_csv(path: str | Path) -> ParsedScores:
-    """Parse a scores CSV written by export_scores_csv."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValidationError(f"{path}: empty scores file")
-    header = lines[0].split(",")
-    tail = [*SCORE_COLUMNS, "category"]
-    if header[0] != "case_id" or header[-len(tail):] != tail:
-        raise ValidationError(f"{path}: unexpected scores header")
-    answer_ids = tuple(header[1 : len(header) - len(tail)])
-    n = len(lines) - 1
-    case_ids = []
-    matrix = np.zeros((n, len(answer_ids)), dtype=bool)
-    floats = np.zeros((n, len(SCORE_COLUMNS)))
-    category = np.zeros(n, dtype=int)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValidationError(f"{path}: row {i} has {len(cells)} cells")
-        if cells[-1] not in CATEGORY_NAMES:
-            raise ValidationError(f"{path}: row {i}: unknown category {cells[-1]!r}")
-        try:
-            case_ids.append(int(cells[0]))
-            floats[i] = [float(c) for c in cells[1 + len(answer_ids) : -1]]
-        except ValueError as e:
-            raise ValidationError(f"{path}: row {i}: {e}") from None
-        matrix[i] = [c == "1" for c in cells[1 : 1 + len(answer_ids)]]
-        category[i] = CATEGORY_NAMES.index(cells[-1])
-    return ParsedScores(
-        case_ids=tuple(case_ids),
-        answer_ids=answer_ids,
-        matrix=matrix,
-        raw_sums=floats[:, 0],
-        normalized=floats[:, 1],
-        score_gmm_cdf=floats[:, 2],
-        score_kde_cdf=floats[:, 3],
-        score_posterior=floats[:, 4],
-        category=category,
-    )
 
 
 def export_density_samples_csv(gmm, kde, path: str | Path) -> None:

@@ -54,12 +54,6 @@ class TreeNode:
     def n_samples(self) -> int:
         return sum(self.counts)
 
-    @property
-    def percentages(self) -> tuple[float, ...]:
-        """Per-category share of this node's cases, in percent."""
-        n = self.n_samples
-        return tuple(100.0 * c / n for c in self.counts)
-
 
 def _node(counts: list[int], depth: int) -> TreeNode:
     n = sum(counts)
@@ -220,14 +214,3 @@ def prune_tree(root: TreeNode, alpha: float) -> TreeNode:
     cost(root)
     return copy(root)
 
-
-def predict_matrix(root: TreeNode, matrix: np.ndarray) -> np.ndarray:
-    """Classes for every row of an indicator matrix."""
-    matrix = np.asarray(matrix, dtype=bool)
-    out = np.empty(matrix.shape[0], dtype=int)
-    for i in range(matrix.shape[0]):
-        node = root
-        while not node.is_leaf:
-            node = node.true_child if matrix[i, node.split_answer_index] else node.false_child
-        out[i] = node.prediction
-    return out

@@ -1,20 +1,26 @@
 """Reference data shared by the test modules: the unmerged 22-answer schema,
 the reference two-component mixture, formal contexts for the FCA tests, and
-a per-node tree grower and a round-based pruner as oracles for the tree.
+oracles kept apart from the code they check: readers for the files the
+exporters write, derivation by position on a context's incidence, and a
+per-node tree grower, a root-to-leaf predictor and a round-based pruner.
 
 It lives outside conftest.py because test modules import it by name, and
 the benchmark's tests have a conftest module of their own.
 """
 
+import csv
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from emprob import (
     FormalContext,
     GaussianMixture,
+    ProbabilityCategory,
     TreeNode,
     WeightMatrix,
     default_questionnaire,
@@ -122,6 +128,70 @@ def edge_case_contexts():
     rows = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=bool)
     return [ctx(np.zeros((0, 4), dtype=bool)), ctx(np.zeros((5, 0), dtype=bool)),
             ctx(rows[[0, 1, 0, 2, 1, 1]]), ctx(np.ones((4, 3), dtype=bool))]
+
+
+def read_cxt(path):
+    """A Burmeister file as export_cxt writes it, read by position."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    assert lines[:2] == ["B", ""] and lines[4] == "", lines[:5]
+    n_obj, n_att = int(lines[2]), int(lines[3])
+    assert n_obj >= 0 and n_att >= 0
+    names, rows = lines[5 : 5 + n_obj + n_att], lines[5 + n_obj + n_att :]
+    assert len(names) == n_obj + n_att and rows[n_obj:] == [""], "wrong line count"
+    assert all(len(row) == n_att and set(row) <= {"X", "."} for row in rows[:n_obj])
+    incidence = np.array([[ch == "X" for ch in row] for row in rows[:n_obj]], dtype=bool)
+    return FormalContext(tuple(names[:n_obj]), tuple(names[n_obj:]),
+                         incidence.reshape(n_obj, n_att))
+
+
+SCORE_FIELDS = ("raw_sums", "normalized", "score_gmm_cdf", "score_kde_cdf", "score_posterior")
+
+
+def read_scores_csv(path):
+    """A scores CSV as export_scores_csv writes it, parsed with csv into the
+    ScoreTable fields it holds, plus case_ids, answer_ids and matrix."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    tail = ["raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf", "p_posterior", "category"]
+    assert header[0] == "case_id" and header[-6:] == tail, header
+    assert rows and all(len(row) == len(header) for row in rows)
+    cols = list(zip(*rows))
+    assert all(set(col) <= {"0", "1"} for col in cols[1:-6])
+    categories = [c.name for c in ProbabilityCategory]
+    return SimpleNamespace(
+        case_ids=tuple(map(int, cols[0])),
+        answer_ids=tuple(header[1:-6]),
+        matrix=np.array(cols[1:-6]).T == "1",
+        category=np.array([categories.index(c) for c in cols[-1]]),
+        **{f: np.array(list(map(float, col))) for f, col in zip(SCORE_FIELDS, cols[-6:-1])},
+    )
+
+
+def extent(ctx, attrs):
+    """Positions of the objects having every attribute at the positions attrs."""
+    return tuple(np.flatnonzero(ctx.incidence[:, list(attrs)].all(axis=1)).tolist())
+
+
+def intent(ctx, objs):
+    """Positions of the attributes shared by every object at the positions objs."""
+    return tuple(np.flatnonzero(ctx.incidence[list(objs)].all(axis=0)).tolist())
+
+
+def support(ctx, *attributes):
+    """Number of objects having every named attribute."""
+    return len(extent(ctx, map(ctx.attributes.index, attributes)))
+
+
+def names(labels, positions):
+    return tuple(labels[i] for i in positions)
+
+
+def predict(root, row):
+    """The category a tree gives one answer-indicator row."""
+    node = root
+    while not node.is_leaf:
+        node = node.true_child if row[node.split_answer_index] else node.false_child
+    return node.prediction
 
 
 def _gini(counts):

@@ -21,21 +21,29 @@ from emprob import (
     ProbabilityCategory,
     SILVERMAN_CONVENTIONS,
     build_band_context,
-    derive,
     em_fit,
     enumerate_cases,
     enumerate_concepts,
     export_cxt,
     export_scores_csv,
+    export_supports_csv,
     fit_report_document,
     mean_weights,
     prepare,
-    read_cxt,
-    read_scores_csv,
     select_component_count,
     silverman_bandwidth,
 )
-from reference_data import REFERENCE_GMM, random_context, unmerged_questionnaire
+from reference_data import (
+    REFERENCE_GMM,
+    SCORE_FIELDS,
+    extent,
+    intent,
+    random_context,
+    read_cxt,
+    read_scores_csv,
+    support,
+    unmerged_questionnaire,
+)
 from test_fca import brute_force_concepts
 
 # expert-average weight per answer, two decimals, in shipped answer order
@@ -219,13 +227,14 @@ def test_criterion_06_low_band_count(reference_score_table, score_table):
         assert abs(fit_ctx.n_objects - 162) <= 2
 
 
-def test_criterion_07_band_supports(reference_score_table):
+def test_criterion_07_band_supports(reference_score_table, tmp_path):
     with criterion(7, "band supports: no-outdoor 145, plus no-bite 128"):
         ctx = build_band_context(reference_score_table, (0.0, 0.1))
-        assert len(derive(ctx, "attributes", ("a_2_q6",))) == 145
-        assert ctx.support(("a_2_q6",)) == 145
-        assert len(derive(ctx, "attributes", ("a_2_q4", "a_2_q6"))) == 128
-        assert ctx.support(("a_2_q4", "a_2_q6")) == 128
+        assert support(ctx, "a_2_q6") == 145
+        assert support(ctx, "a_2_q4", "a_2_q6") == 128
+        export_supports_csv(ctx, tmp_path / "supports.csv")
+        rows = (tmp_path / "supports.csv").read_text().splitlines()
+        assert {"a_2_q6,145", "a_2_q4;a_2_q6,128"} <= set(rows)
 
 
 def test_criterion_08_posterior_dominates(score_table):
@@ -293,17 +302,14 @@ def test_criterion_10_property_suite(gmm, fitted_gmm, kde, sum_table,
         contexts = [random_context(rng, max_side=8) for _ in range(50)]
         for ctx in contexts:
             concepts = enumerate_concepts(ctx)
-            got = {
-                (frozenset(c.extent_names(ctx)), frozenset(c.intent_names(ctx)))
-                for c in concepts
-            }
+            got = {(c.extent, c.intent) for c in concepts}
             assert len(got) == len(concepts)
             assert got == brute_force_concepts(ctx)
-            subset = tuple(o for o in ctx.objects if rng.random() < 0.5)
-            up = derive(ctx, "objects", subset)
-            down_up = derive(ctx, "attributes", up)
+            subset = tuple(o for o in range(ctx.n_objects) if rng.random() < 0.5)
+            up = intent(ctx, subset)
+            down_up = extent(ctx, up)
             assert set(subset) <= set(down_up)
-            assert derive(ctx, "objects", down_up) == up
+            assert intent(ctx, down_up) == up
 
         # serialized artifacts read back bit for bit
         for i, ctx in enumerate(contexts[:5]):
@@ -316,14 +322,8 @@ def test_criterion_10_property_suite(gmm, fitted_gmm, kde, sum_table,
         csv_path = tmp_path / "scores.csv"
         export_scores_csv(score_table, csv_path)
         parsed = read_scores_csv(csv_path)
-        np.testing.assert_array_equal(parsed.raw_sums, score_table.raw_sums)
-        np.testing.assert_array_equal(parsed.normalized, score_table.normalized)
-        np.testing.assert_array_equal(parsed.score_gmm_cdf, score_table.score_gmm_cdf)
-        np.testing.assert_array_equal(parsed.score_kde_cdf, score_table.score_kde_cdf)
-        np.testing.assert_array_equal(
-            parsed.score_posterior, score_table.score_posterior
-        )
-        np.testing.assert_array_equal(parsed.category, score_table.category)
+        for field in (*SCORE_FIELDS, "category"):
+            np.testing.assert_array_equal(getattr(parsed, field), getattr(score_table, field))
 
         elapsed = time.perf_counter() - start
         _emit(f"criterion 10: note - property suite ran in {elapsed:.1f}s")

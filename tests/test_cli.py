@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import emprob
-from emprob import pipeline, read_scores_csv
+from emprob import pipeline
 from emprob.cli import _CONFIG_FLAGS, COMMANDS, build_parser, config_from_args, main
-from reference_data import write_unmerged_inputs
+from reference_data import read_scores_csv, write_unmerged_inputs
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 

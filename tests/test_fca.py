@@ -8,10 +8,10 @@ from emprob import (
     ValidationError,
     build_band_context,
     build_lattice,
-    derive,
     enumerate_concepts,
+    export_supports_csv,
 )
-from reference_data import edge_case_contexts, random_context
+from reference_data import edge_case_contexts, extent, intent, names, random_context, support
 
 DIAGONAL = FormalContext(
     objects=("o1", "o2"),
@@ -21,13 +21,13 @@ DIAGONAL = FormalContext(
 
 
 def brute_force_concepts(ctx):
-    """All (extent, intent) pairs via closure of every attribute subset."""
+    """All (extent, intent) position pairs via closure of every attribute
+    subset."""
     found = set()
     for r in range(ctx.n_attributes + 1):
-        for subset in itertools.combinations(ctx.attributes, r):
-            ext = derive(ctx, "attributes", subset)
-            intent = derive(ctx, "objects", ext)
-            found.add((frozenset(ext), frozenset(intent)))
+        for subset in itertools.combinations(range(ctx.n_attributes), r):
+            ext = extent(ctx, subset)
+            found.add((ext, intent(ctx, ext)))
     return found
 
 
@@ -40,42 +40,41 @@ def test_context_validation():
 
 
 def test_derive_both_sides():
-    assert derive(DIAGONAL, "attributes", ()) == ("o1", "o2")
-    assert derive(DIAGONAL, "attributes", ("y1",)) == ("o1",)
-    assert derive(DIAGONAL, "objects", ("o2",)) == ("y2",)
-    assert derive(DIAGONAL, "objects", ()) == ("y1", "y2")
-    with pytest.raises(ValidationError):
-        derive(DIAGONAL, "sideways", ("y1",))
-    with pytest.raises(ValidationError):
-        derive(DIAGONAL, "attributes", ("bogus",))
+    assert extent(DIAGONAL, ()) == (0, 1)
+    assert extent(DIAGONAL, (0,)) == (0,)
+    assert intent(DIAGONAL, (1,)) == (1,)
+    assert intent(DIAGONAL, ()) == (0, 1)
+    with pytest.raises(ValueError):
+        support(DIAGONAL, "bogus")
 
 
 def test_empty_extent_has_full_intent():
-    assert derive(DIAGONAL, "attributes", ("y1", "y2")) == ()
-    assert derive(DIAGONAL, "objects", ()) == ("y1", "y2")
+    assert extent(DIAGONAL, (0, 1)) == ()
+    assert intent(DIAGONAL, ()) == (0, 1)
 
 
 def test_galois_laws():
     rng = np.random.default_rng(43)
     for _ in range(20):
         ctx = random_context(rng, max_side=6)
-        objs = list(ctx.objects)
+        objs = range(ctx.n_objects)
         a = tuple(o for o in objs if rng.random() < 0.5)
         b_extra = tuple(o for o in objs if o in a or rng.random() < 0.5)
-        up = derive(ctx, "objects", a)
-        down_up = derive(ctx, "attributes", up)
+        up = intent(ctx, a)
+        down_up = extent(ctx, up)
         # extension: A subset of A''
         assert set(a) <= set(down_up)
         # antitone: A subset of B implies B' subset of A'
-        assert set(derive(ctx, "objects", b_extra)) <= set(up)
+        assert set(intent(ctx, b_extra)) <= set(up)
         # idempotence of triple application
-        assert derive(ctx, "objects", down_up) == up
+        assert intent(ctx, down_up) == up
 
 
 def test_diagonal_concepts():
     concepts = enumerate_concepts(DIAGONAL)
     assert len(concepts) == 4
-    pairs = {(c.extent_names(DIAGONAL), c.intent_names(DIAGONAL)) for c in concepts}
+    pairs = {(names(DIAGONAL.objects, c.extent), names(DIAGONAL.attributes, c.intent))
+             for c in concepts}
     assert pairs == {
         (("o1", "o2"), ()),
         (("o1",), ("y1",)),
@@ -120,10 +119,7 @@ def test_concepts_match_brute_force():
     for _ in range(15):
         ctx = random_context(rng, max_side=6)
         concepts = enumerate_concepts(ctx)
-        got = {
-            (frozenset(c.extent_names(ctx)), frozenset(c.intent_names(ctx)))
-            for c in concepts
-        }
+        got = {(c.extent, c.intent) for c in concepts}
         assert got == brute_force_concepts(ctx)
         assert len(concepts) == len(got)  # no duplicates
 
@@ -198,12 +194,14 @@ def test_band_context_full_range(score_table):
     assert ctx.attributes == score_table.answer_ids
 
 
-def test_band_context_reference_counts(reference_score_table):
+def test_band_context_reference_counts(reference_score_table, tmp_path):
     ctx = build_band_context(reference_score_table, (0.0, 0.1))
     assert ctx.n_objects == 162
-    assert len(derive(ctx, "attributes", ("a_2_q6",))) == 145
-    assert ctx.support(("a_2_q6",)) == 145
-    assert ctx.support(("a_2_q4", "a_2_q6")) == 128
+    assert support(ctx, "a_2_q6") == 145
+    assert support(ctx, "a_2_q4", "a_2_q6") == 128
+    export_supports_csv(ctx, tmp_path / "supports.csv")
+    rows = (tmp_path / "supports.csv").read_text().splitlines()
+    assert {"a_2_q6,145", "a_2_q4;a_2_q6,128"} <= set(rows)
 
 
 def test_band_context_brute_force_complement(score_table):

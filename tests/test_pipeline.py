@@ -281,14 +281,61 @@ def test_default_trees_and_categories_match_reference(result, tmp_path):
     assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == DEFAULT_CATEGORY_DIGEST
 
 
-def test_reversed_doctor_rows_keep_the_trees(tmp_path):
-    """Mean weights are exact, so the order of the doctors moves no byte."""
+@pytest.fixture(scope="module")
+def default_files(result, tmp_path_factory):
+    """The 35 default artifacts by file name."""
+    out = tmp_path_factory.mktemp("default")
+    return {path.name: path.read_bytes() for path in write_artifacts(result, out)}
+
+
+def files_from_weights(tmp_path, edit):
+    """The 35 artifacts of a run on the shipped weights file with its doctor
+    rows passed through ``edit``."""
     header, *rows = (files("emprob.data") / "weights.csv").read_text().splitlines()
     weights = tmp_path / "weights.csv"
-    weights.write_text("\n".join([header, *rows[::-1]]) + "\n")
-    pipeline.write_trees(prepare(PipelineConfig(weights_path=str(weights))), tmp_path)
-    for name, digest in DEFAULT_TREE_DIGESTS.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    weights.write_text("\n".join([header, *edit(rows)]) + "\n")
+    result = prepare(PipelineConfig(weights_path=str(weights)))
+    return {path.name: path.read_bytes() for path in write_artifacts(result, tmp_path / "out")}
+
+
+def changed_files(got, expected):
+    assert got.keys() == expected.keys()
+    return {name for name in got if got[name] != expected[name]}
+
+
+# Mean weights and case sums are exact (the shipped weights are quarter
+# points), so no whole-run result depends on the order or multiplicity of
+# the doctors, and halving every weight scales only the raw sums.
+def test_reversed_doctor_rows_keep_the_trees(tmp_path, default_files):
+    """Reversing the doctors moves no byte of any of the 35 files."""
+    assert changed_files(files_from_weights(tmp_path, lambda rows: rows[::-1]),
+                         default_files) == set()
+
+
+def test_every_doctor_listed_twice_keeps_every_file(tmp_path, default_files):
+    def twice(rows):
+        return rows + [row.replace(",", "_copy,", 1) for row in rows]
+
+    assert changed_files(files_from_weights(tmp_path, twice), default_files) == set()
+
+
+def test_halved_weights_halve_only_the_raw_sums(tmp_path, default_files):
+    def halved(rows):
+        return [",".join([doctor, *(repr(float(w) / 2) for w in weights)])
+                for doctor, *weights in (row.split(",") for row in rows)]
+
+    got = files_from_weights(tmp_path, halved)
+    assert changed_files(got, default_files) == {"scores.csv", "fit_report.json"}
+    half, full = (list(csv.DictReader(f["scores.csv"].decode().splitlines()))
+                  for f in (got, default_files))
+    assert len(half) == len(full) == 1536
+    for h, f in zip(half, full):
+        assert float(h.pop("raw_sum")) == float(f.pop("raw_sum")) / 2
+        assert h == f
+    half, full = (json.loads(f["fit_report.json"]) for f in (got, default_files))
+    for key in ("raw_min", "raw_max"):
+        assert half["normalization"].pop(key) == full["normalization"].pop(key) / 2
+    assert half == full
 
 
 def test_reversed_questions_keep_the_tree_sizes(tmp_path):

@@ -1,6 +1,6 @@
-"""Checks of the public names: the package exports what it lists, and every
-name the demos import from it exists.  The demos are read, and each one
-is also run."""
+"""Checks of the public names: the package exports what it lists, every
+exported name has a caller outside the tests, and every name the demos
+import from it exists.  The demos are read, and each one is also run."""
 
 import ast
 import importlib
@@ -14,7 +14,8 @@ import pytest
 
 import emprob
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -23,6 +24,34 @@ def test_every_exported_name_resolves():
     assert len(set(emprob.__all__)) == len(emprob.__all__)
     imported = {name for _, name in emprob_imports(Path(emprob.__file__))}
     assert imported == set(emprob.__all__)
+
+
+def referenced_names(path):
+    """Identifiers the file's code loads, reads as attributes or imports, and
+    the parts of its dotted-name strings (the benchmark names what it wraps
+    as "module.function" strings)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and all(
+            part.isidentifier() for part in node.value.split(".")
+        ):
+            yield from node.value.split(".")
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    """A public name must be used by the package itself (outside the
+    definition and the package's own export list), by a demo, or by the
+    benchmark; a name only the tests use belongs with the tests."""
+    package = Path(emprob.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += [*DEMOS, *(ROOT / "bench").glob("*.py")]
+    used = {name for path in paths for name in referenced_names(path)}
+    assert sorted(set(emprob.__all__) - used) == []
 
 
 def emprob_imports(path):

@@ -12,12 +12,11 @@ from emprob import (
     iter_nodes,
     leaf_count,
     node_count,
-    predict_matrix,
     prune_tree,
     tree_depth,
     tree_to_dot,
 )
-from reference_data import link_strengths, reference_prune, reference_tree
+from reference_data import link_strengths, predict, reference_prune, reference_tree
 
 IDS3 = ("f0", "f1", "f2")
 
@@ -204,7 +203,7 @@ def test_iter_nodes_preorder(tree_full):
 
 def test_predict_reproduces_training_labels(tree_full, case_set, score_table):
     labels = np.asarray(score_table.category, dtype=int)
-    predicted = predict_matrix(tree_full, case_set.matrix)
+    predicted = [predict(tree_full, row) for row in case_set.matrix]
     assert_array_equal(predicted, labels)
 
 
