@@ -17,7 +17,6 @@ from emprob import (
     elicit_probabilities,
     em_fit,
     enumerate_cases,
-    export_dot,
     fit_decision_tree,
     iter_nodes,
     leaf_count,
@@ -25,6 +24,7 @@ from emprob import (
     node_count,
     prune_tree,
     tree_depth,
+    tree_to_dot,
     weight_sum_table,
 )
 
@@ -65,8 +65,8 @@ for alpha in (0.002, 0.01, 0.05):
 # the pruned tree reads as a handful of if/else rules; DOT renders both
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
-export_dot(tree, out / "tree_full.dot")
-export_dot(prune_tree(tree, 0.01), out / "tree_pruned.dot")
+(out / "tree_full.dot").write_text(tree_to_dot(tree), encoding="utf-8")
+(out / "tree_pruned.dot").write_text(tree_to_dot(prune_tree(tree, 0.01)), encoding="utf-8")
 print(f"\nwrote {out / 'tree_full.dot'}")
 print(f"wrote {out / 'tree_pruned.dot'}")
 

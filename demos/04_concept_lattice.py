@@ -21,8 +21,8 @@ from emprob import (
     em_fit,
     enumerate_cases,
     export_cxt,
-    export_dot,
     export_supports_csv,
+    lattice_to_dot,
     mean_weights,
     weight_sum_table,
 )
@@ -63,7 +63,7 @@ print(f"largest rectangle: {n_cases[widest]} cases x {n_answers[widest]} answers
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
 export_cxt(ctx, out / "band_0_0.1.cxt")
-export_dot(lattice, out / "lattice_0_0.1.dot")
+(out / "lattice_0_0.1.dot").write_text(lattice_to_dot(lattice), encoding="utf-8")
 export_supports_csv(ctx, out / "supports_0_0.1.csv")
 for name in ("band_0_0.1.cxt", "lattice_0_0.1.dot", "supports_0_0.1.csv"):
     print(f"wrote {out / name}")

@@ -4,9 +4,10 @@ Scoring one patient
 
 The batch table scores every admissible answer combination, so a single
 patient's scores are the table row of their combination: `score_patient`
-validates the answers and looks the row up by its canonical index. The same
-lookup backs `emprob score-patient`, which fits only the stages behind the
-table (one mixture and the kernel estimate; no tree, no lattices).
+validates the answers and looks the row up by its canonical index, returning
+it with the column names of scores.csv. `emprob score-patient` prints that
+row as JSON, fitting only the stages behind the table (one mixture and the
+kernel estimate; no tree, no lattices).
 """
 
 from emprob import PipelineConfig, PipelineResult, score_patient
@@ -28,14 +29,14 @@ patients = {
     ),
 }
 for name, answers in patients.items():
-    ps = score_patient(answers, table)
+    row = score_patient(answers, table)
     print(f"{name}:")
-    print(f"  raw sum {ps.raw_sum:.4f}, normalized {ps.normalized:.4f}")
+    print(f"  raw sum {row['raw_sum']:.4f}, normalized {row['normalized_sum']:.4f}")
     print(
-        f"  mixture cdf {ps.score_gmm_cdf:.4f}, kernel cdf "
-        f"{ps.score_kde_cdf:.4f}, posterior {ps.score_posterior:.4f}"
+        f"  mixture cdf {row['p_gmm_cdf']:.4f}, kernel cdf "
+        f"{row['p_kde_cdf']:.4f}, posterior {row['p_posterior']:.4f}"
     )
-    print(f"  category: {ps.category.name}")
+    print(f"  category: {row['category']}")
 
 print("\nstrongest answer:", max(vector.as_dict(), key=vector.value))
 print("weakest answer:  ", min(vector.as_dict(), key=vector.value))

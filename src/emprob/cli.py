@@ -80,9 +80,9 @@ def _print_trees(result: PipelineResult, args: argparse.Namespace) -> None:
 
 
 def _print_lattices(result: PipelineResult, args: argparse.Namespace) -> None:
-    for (band, ctx), (_, lattice) in zip(result.band_contexts, result.lattices):
+    for band, lattice in result.lattices:
         print(
-            f"band [{band[0]:g}, {band[1]:g}): {ctx.n_objects} cases, "
+            f"band [{band[0]:g}, {band[1]:g}): {lattice.context.n_objects} cases, "
             f"{len(lattice.intents)} concepts"
         )
 
@@ -93,17 +93,7 @@ def _print_patient(result: PipelineResult, args: argparse.Namespace) -> None:
         raise ValidationError("no answer ids given")
     case = CaseVector(true_answers=frozenset(ids))
     validate_case(case, result.questionnaire)  # before any model is fitted
-    ps = score_patient(case, result.table)
-    doc = {
-        "answers": sorted(ps.case.true_answers),
-        "raw_sum": ps.raw_sum,
-        "normalized_sum": ps.normalized,
-        "p_gmm_cdf": ps.score_gmm_cdf,
-        "p_kde_cdf": ps.score_kde_cdf,
-        "p_posterior": ps.score_posterior,
-        "category": ps.category.name,
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(score_patient(case, result.table), indent=2, sort_keys=True))
 
 
 # subcommand -> (help, artifact writer or None, summary printer)

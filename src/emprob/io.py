@@ -15,12 +15,10 @@ import numpy as np
 
 from emprob.fca import ConceptLattice, FormalContext
 from emprob.schema import ValidationError
-from emprob.scoring import ProbabilityCategory, ScoreTable, ill_component
+from emprob.scoring import COLUMNS, ProbabilityCategory, ScoreTable, ill_component
 from emprob.tree import TreeNode
 
 CATEGORY_NAMES = tuple(c.name for c in ProbabilityCategory)
-
-SCORE_COLUMNS = ("raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf", "p_posterior")
 
 
 def format_float(x: float) -> str:
@@ -115,30 +113,18 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     return "\n".join(lines) + "".join(edges.ravel().tolist()) + "}\n"
 
 
-def export_dot(graph: TreeNode | ConceptLattice, path: str | Path) -> None:
-    """Write a decision tree or concept lattice as a DOT file."""
-    if isinstance(graph, TreeNode):
-        text = tree_to_dot(graph)
-    elif isinstance(graph, ConceptLattice):
-        text = lattice_to_dot(graph)
-    else:
-        raise ValidationError(f"cannot render {type(graph).__name__} as DOT")
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def export_scores_csv(table: ScoreTable, path: str | Path) -> None:
-    """Write one row per case: case_id, answer indicators (0/1), raw and
-    normalized sums, the three scores, and the category."""
-    header = ["case_id", *table.answer_ids, *SCORE_COLUMNS, "category"]
+    """Write one row per case: case_id, answer indicators (0/1), the
+    ``COLUMNS`` (raw and normalized sums, the three scores), and the
+    category."""
+    header = ["case_id", *table.answer_ids, *(column for column, _ in COLUMNS), "category"]
     lines = [",".join(header)]
     matrix = table.case_set.matrix
+    values = [getattr(table, field) for _, field in COLUMNS]
     for i in range(len(table)):
         row = [str(i)]
         row.extend("1" if v else "0" for v in matrix[i])
-        row.extend(format_float(v) for v in (
-            table.raw_sums[i], table.normalized[i], table.score_gmm_cdf[i],
-            table.score_kde_cdf[i], table.score_posterior[i],
-        ))
+        row.extend(format_float(v[i]) for v in values)
         row.append(CATEGORY_NAMES[table.category[i]])
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -154,12 +140,9 @@ def export_density_samples_csv(gmm, kde, path: str | Path) -> None:
     curves.extend(
         (f"component_{k + 1}_pdf", comp[:, k]) for k in range(gmm.n_components)
     )
-    curves.extend([
-        ("kde_pdf", kde.pdf(xs)),
-        ("p_gmm_cdf", gmm.cdf(xs)),
-        ("p_kde_cdf", kde.cdf(xs)),
-        ("p_posterior", gmm.posterior(xs, ill_component(gmm))),
-    ])
+    curves.append(("kde_pdf", kde.pdf(xs)))
+    scores = (gmm.cdf(xs), kde.cdf(xs), gmm.posterior(xs, ill_component(gmm)))
+    curves.extend(zip((column for column, _ in COLUMNS[-len(scores):]), scores))
     lines = [",".join(["x"] + [name for name, _ in curves])]
     for i, x in enumerate(xs):
         lines.append(",".join([format_float(x)] + [format_float(col[i]) for _, col in curves]))

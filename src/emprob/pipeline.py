@@ -37,7 +37,7 @@ from emprob.density import (
     SILVERMAN_CONVENTIONS,
     em_fit,
 )
-from emprob.fca import ConceptLattice, FormalContext, build_band_context, build_lattice
+from emprob.fca import ConceptLattice, build_band_context, build_lattice
 from emprob.schema import (
     AnswerWeightVector,
     Questionnaire,
@@ -49,11 +49,10 @@ from emprob.schema import (
     load_weight_matrix,
     mean_weights,
     merge_answers,
-    parse_merge_rule,
     read_json_mapping,
     validate_weights,
 )
-from emprob.scoring import ScoreTable, elicit_probabilities, validate_thresholds
+from emprob.scoring import APPROACHES, ScoreTable, elicit_probabilities, validate_thresholds
 from emprob.tree import TreeNode, fit_decision_tree, prune_tree
 
 DEFAULT_BANDS = tuple((i / 10, (i + 1) / 10) for i in range(10))
@@ -69,7 +68,6 @@ class PipelineConfig:
 
     questionnaire_path: str | None = None
     weights_path: str | None = None
-    merge_rules: tuple[Mapping, ...] = ()
     n_components: int | None = 2
     m_max: int = 4
     thresholds: tuple[float, float] = (0.33, 0.68)
@@ -103,15 +101,14 @@ class PipelineConfig:
                 )
             seen[tag] = (lo, hi)
         object.__setattr__(self, "bands", bands)
-        if not isinstance(self.merge_rules, (list, tuple)):
-            raise ValidationError(f"merge_rules must be a list, got {self.merge_rules!r}")
-        object.__setattr__(self, "merge_rules", tuple(self.merge_rules))
         if self.n_components is not None and self.n_components < 1:
             raise ValidationError("n_components must be at least 1 (or null for automatic)")
         if self.m_max < 1:
             raise ValidationError("m_max must be at least 1")
-        if self.band_approach not in (1, 2, 3):
-            raise ValidationError("band_approach must be 1, 2, or 3")
+        if self.band_approach not in APPROACHES:
+            raise ValidationError(
+                f"band_approach must be one of {APPROACHES}, got {self.band_approach!r}"
+            )
         if not self.prune_alpha >= 0:  # also rejects NaN
             raise ValidationError(f"prune_alpha must be nonnegative, got {self.prune_alpha!r}")
 
@@ -205,22 +202,19 @@ class PipelineResult:
         return prune_tree(self.tree_full, self.config.prune_alpha)
 
     @cached_property
-    def band_contexts(self) -> tuple[tuple[tuple[float, float], FormalContext], ...]:
+    def lattices(self) -> tuple[tuple[tuple[float, float], ConceptLattice], ...]:
+        """Each band's concept lattice; its context is ``lattice.context``."""
+        approach = self.config.band_approach
         return tuple(
-            (band, build_band_context(self.table, band, self.config.band_approach))
+            (band, build_lattice(build_band_context(self.table, band, approach)))
             for band in self.config.bands
         )
-
-    @cached_property
-    def lattices(self) -> tuple[tuple[tuple[float, float], ConceptLattice], ...]:
-        return tuple((band, build_lattice(ctx)) for band, ctx in self.band_contexts)
 
 
 def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
     """Load the questionnaire and weight matrix, validate the weights against
-    the questionnaire as read, and apply all merge rules (those embedded in
-    the questionnaire document first, then the config's), returning a
-    consistent merged pair."""
+    the questionnaire as read, and apply the questionnaire document's merge
+    rules in order, returning a consistent merged pair."""
     questionnaire = (
         default_questionnaire()
         if cfg.questionnaire_path is None
@@ -233,9 +227,6 @@ def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
         questionnaire,
     )
     for rule in questionnaire.merge_rules:
-        questionnaire, weight_matrix = merge_answers(questionnaire, weight_matrix, rule)
-    for raw in cfg.merge_rules:
-        rule = parse_merge_rule(raw, questionnaire)
         questionnaire, weight_matrix = merge_answers(questionnaire, weight_matrix, rule)
     return questionnaire, weight_matrix
 
@@ -326,21 +317,21 @@ def write_trees(result: PipelineResult, output_dir: str | Path | None = None) ->
     out = _output_dir(result, output_dir)
     paths = [out / "tree_full.dot", out / "tree_pruned.dot"]
     for path, tree in zip(paths, trees):
-        eio.export_dot(tree, path)
+        path.write_text(eio.tree_to_dot(tree), encoding="utf-8")
     return paths
 
 
 def write_lattices(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write each band's context (CXT), lattice (DOT) and supports (CSV)."""
-    bands = zip(result.band_contexts, result.lattices)
+    lattices = result.lattices
     out = _output_dir(result, output_dir)
     paths = []
-    for (band, ctx), (_, lattice) in bands:
+    for band, lattice in lattices:
         tag = band_tag(band)
         paths += [out / f"band_{tag}.cxt", out / f"lattice_{tag}.dot", out / f"supports_{tag}.csv"]
-        eio.export_cxt(ctx, paths[-3])
-        eio.export_dot(lattice, paths[-2])
-        eio.export_supports_csv(ctx, paths[-1])
+        eio.export_cxt(lattice.context, paths[-3])
+        paths[-2].write_text(eio.lattice_to_dot(lattice), encoding="utf-8")
+        eio.export_supports_csv(lattice.context, paths[-1])
     return paths
 
 

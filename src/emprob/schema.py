@@ -261,10 +261,13 @@ def _parse_answer(raw: Mapping, question_id: str) -> AnswerOption:
         raise ValidationError(f"answer in question {question_id!r} missing field {e}") from None
 
 
-def _source_question(questionnaire: Questionnaire, sources: tuple[str, ...]) -> Question:
-    """The one question of ``questionnaire`` that owns every merge source."""
+def _source_question(
+    questionnaire: Questionnaire, sources: tuple[str, ...], *, all_known: bool = True
+) -> Question:
+    """The one question of ``questionnaire`` that owns every merge source;
+    unless ``all_known``, only the sources it has need an owner."""
     owners = {q.id: q for q in questionnaire.questions for a in q.answers if a.id in sources}
-    if len(owners) != 1 or not set(sources) <= set(questionnaire.answer_ids):
+    if len(owners) != 1 or (all_known and not set(sources) <= set(questionnaire.answer_ids)):
         raise ValidationError(
             f"merge rule sources {sources} must all belong to one existing question"
         )
@@ -272,8 +275,9 @@ def _source_question(questionnaire: Questionnaire, sources: tuple[str, ...]) -> 
 
 
 def parse_merge_rule(doc: Mapping, questionnaire: Questionnaire) -> MergeRule:
-    """Build a MergeRule from its config mapping, resolved against a
-    questionnaire (the sources it has must all belong to one question)."""
+    """Build a MergeRule from its mapping in a questionnaire document,
+    resolved against a questionnaire (the sources it has must all belong to
+    one question)."""
     doc = _mapping(doc, "merge rule")
     for key in ("source_answer_ids", "merged_answer"):
         if key not in doc:
@@ -281,8 +285,7 @@ def parse_merge_rule(doc: Mapping, questionnaire: Questionnaire) -> MergeRule:
     sources = tuple(str(s) for s in _list(doc, "source_answer_ids", "merge rule"))
     # a source may be the merged answer of an earlier rule; merge_answers
     # checks every source when the rule is applied
-    known = set(questionnaire.answer_ids)
-    question = _source_question(questionnaire, tuple(s for s in sources if s in known))
+    question = _source_question(questionnaire, sources, all_known=False)
     return MergeRule(sources, _parse_answer(doc["merged_answer"], question.id))
 
 

@@ -13,14 +13,15 @@ Batch scoring evaluates each distinct normalized sum once and gathers the
 scores back per case.  With quarter-point weights every raw sum is the
 correctly rounded exact value, so cases with equal sums get identical scores.
 The table holds every admissible case, so scoring a single case is a lookup
-of its row at ``canonical_index``.
+of its row at ``canonical_index``.  ``COLUMNS`` names the per-case numbers
+once, for the table, the score files and the single-case row alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -30,9 +31,17 @@ from emprob.schema import ValidationError
 
 DEFAULT_THRESHOLDS = (0.33, 0.68)
 
-SCORE_NAMES = ("gmm_cdf", "kde_cdf", "posterior")
+# (output column, ScoreTable field) of each per-case number, in output
+# order; the last three are the scores of approaches 1, 2 and 3
+COLUMNS = (
+    ("raw_sum", "raw_sums"),
+    ("normalized_sum", "normalized"),
+    ("p_gmm_cdf", "score_gmm_cdf"),
+    ("p_kde_cdf", "score_kde_cdf"),
+    ("p_posterior", "score_posterior"),
+)
 
-APPROACHES = {1: "gmm_cdf", 2: "kde_cdf", 3: "posterior"}
+APPROACHES = (1, 2, 3)
 
 
 class ProbabilityCategory(IntEnum):
@@ -93,14 +102,13 @@ class ScoreTable:
 
     def __post_init__(self) -> None:
         n = self.raw_sums.size
-        for name in ("normalized", "score_gmm_cdf", "score_kde_cdf",
-                     "score_posterior", "category"):
+        for name in (*(field for _, field in COLUMNS), "category"):
             if getattr(self, name).shape != (n,):
                 raise ValidationError(f"{name} length does not match raw_sums")
-        for name in SCORE_NAMES:
-            s = self.scores(name)
+        for approach in APPROACHES:
+            s = self.scores_by_approach(approach)
             if s.size and (s.min() < 0.0 or s.max() > 1.0):
-                raise ValidationError(f"score_{name} outside [0, 1]")
+                raise ValidationError(f"approach {approach} scores outside [0, 1]")
 
     def __len__(self) -> int:
         return int(self.raw_sums.size)
@@ -109,15 +117,10 @@ class ScoreTable:
     def answer_ids(self) -> tuple[str, ...]:
         return self.case_set.answer_ids
 
-    def scores(self, name: str) -> np.ndarray:
-        if name not in SCORE_NAMES:
-            raise ValidationError(f"unknown score {name!r}, expected one of {SCORE_NAMES}")
-        return getattr(self, f"score_{name}")
-
     def scores_by_approach(self, approach: int) -> np.ndarray:
         if approach not in APPROACHES:
-            raise ValidationError(f"approach must be 1, 2, or 3, got {approach!r}")
-        return self.scores(APPROACHES[approach])
+            raise ValidationError(f"approach must be one of {APPROACHES}, got {approach!r}")
+        return getattr(self, COLUMNS[-len(APPROACHES):][approach - 1][1])
 
 
 def elicit_probabilities(
@@ -148,21 +151,10 @@ def elicit_probabilities(
     )
 
 
-@dataclass(frozen=True)
-class PatientScore:
-    """Scores for one case; the category follows the gmm_cdf score."""
-
-    case: CaseVector
-    raw_sum: float
-    normalized: float
-    score_gmm_cdf: float
-    score_kde_cdf: float
-    score_posterior: float
-    category: ProbabilityCategory
-
-
-def score_patient(case: CaseVector | Iterable[str], table: ScoreTable) -> PatientScore:
-    """The row of a score table for one admissible case.
+def score_patient(case: CaseVector | Iterable[str], table: ScoreTable) -> dict[str, Any]:
+    """The row of a score table for one admissible case, as ``emprob
+    score-patient`` prints it: the sorted answer ids, the ``COLUMNS`` and
+    the category name.
 
     The table holds every case of its questionnaire, so the case is
     validated and its row found at ``canonical_index``; the category is the
@@ -171,12 +163,8 @@ def score_patient(case: CaseVector | Iterable[str], table: ScoreTable) -> Patien
     if not isinstance(case, CaseVector):
         case = CaseVector(true_answers=frozenset(case))
     i = canonical_index(case, table.case_set.questionnaire)
-    return PatientScore(
-        case=case,
-        raw_sum=float(table.raw_sums[i]),
-        normalized=float(table.normalized[i]),
-        score_gmm_cdf=float(table.score_gmm_cdf[i]),
-        score_kde_cdf=float(table.score_kde_cdf[i]),
-        score_posterior=float(table.score_posterior[i]),
-        category=ProbabilityCategory(int(table.category[i])),
-    )
+    return {
+        "answers": sorted(case.true_answers),
+        **{column: float(getattr(table, field)[i]) for column, field in COLUMNS},
+        "category": ProbabilityCategory(int(table.category[i])).name,
+    }

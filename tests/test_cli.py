@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -104,16 +105,29 @@ def test_unmerged_inputs_score_like_the_shipped_schema(tmp_path, capsys, columns
 
 
 def test_score_patient(tmp_path, capsys):
+    """score-patient prints the case's scores.csv row: its answers, the
+    score columns under the header's names, and the category."""
+    assert main(cheap(tmp_path, "score")) == 0
+    with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    n_answers = len(emprob.default_questionnaire().answer_ids)
+    answer_ids, columns = header[1:1 + n_answers], header[1 + n_answers:-1]
+    assert (header[0], header[-1]) == ("case_id", "category")
+    capsys.readouterr()
     assert main([*CHEAP_FLAGS, "score-patient", ALL_FIRST]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["answers"] == sorted(ALL_FIRST.split(","))
+    answers = sorted(ALL_FIRST.split(","))
+    assert doc["answers"] == answers
     assert doc["raw_sum"] == 7.2
     assert doc["normalized_sum"] == 0.6461538461538462
-    assert set(doc) == {"answers", "raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf",
-                        "p_posterior", "category"}
+    assert sorted(doc) == sorted(["answers", *columns, "category"])
     for key in ("p_gmm_cdf", "p_kde_cdf", "p_posterior"):
         assert 0.0 <= doc[key] <= 1.0
-    assert doc["category"] in ("LOW", "MEDIUM", "HIGH")
+    [row] = [r for r in rows
+             if sorted(a for a, v in zip(answer_ids, r[1:1 + n_answers]) if v == "1") == answers]
+    for column, text in zip(columns, row[1 + n_answers:-1]):
+        assert doc[column] == float(text), column
+    assert doc["category"] == row[-1]
 
 
 @pytest.fixture
@@ -209,7 +223,7 @@ def test_config_flags_match_config_fields():
     names = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
     assert len(set(keys)) == len(keys)
     assert set(keys) <= names
-    assert names - set(keys) == {"merge_rules", "bands", "thresholds"}
+    assert names - set(keys) == {"bands", "thresholds"}
     args = build_parser().parse_args(["--thresholds", "0.2", "0.5", "enumerate"])
     assert config_from_args(args).thresholds == (0.2, 0.5)
 
@@ -225,10 +239,15 @@ def test_invalid_thresholds_exit_2(capsys):
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
+    """Merge rules come only from the questionnaire document, so a config
+    file's merge_rules is an unknown key like any other."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"bogus": 1}))
-    assert main(["--config", str(config), "enumerate"]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    rule = {"source_answer_ids": ["a_3_q1", "a_4_q1"],
+            "merged_answer": {"id": "a_34_q1", "label": "Joint pain/ Itching"}}
+    for doc in ({"bogus": 1}, {"merge_rules": [rule]}):
+        config.write_text(json.dumps(doc))
+        assert main(["--config", str(config), "enumerate"]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bands, tag", [

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from emprob import (
-    ConceptLattice,
     FormalContext,
     ValidationError,
     build_lattice,
     export_cxt,
     export_density_samples_csv,
-    export_dot,
     export_scores_csv,
     export_supports_csv,
     fit_decision_tree,
@@ -212,19 +210,6 @@ def test_dot_escapes_quotes_in_names():
     )
     text = lattice_to_dot(build_lattice(ctx))
     assert '\\"hi\\"' in text
-
-
-def test_export_dot_dispatch(tree_full, tmp_path):
-    tree_path = tmp_path / "tree.dot"
-    export_dot(tree_full, tree_path)
-    assert tree_path.read_text() == tree_to_dot(tree_full)
-    lattice = build_lattice(DIAGONAL)
-    assert isinstance(lattice, ConceptLattice)
-    lattice_path = tmp_path / "lattice.dot"
-    export_dot(lattice, lattice_path)
-    assert lattice_path.read_text() == lattice_to_dot(lattice)
-    with pytest.raises(ValidationError):
-        export_dot("not a graph", tmp_path / "nope.dot")
 
 
 def test_supports_csv(tmp_path):

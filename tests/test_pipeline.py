@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from emprob import pipeline
-from emprob.scoring import SCORE_NAMES
+from emprob.scoring import APPROACHES
 from emprob import (
     DEFAULT_BANDS,
     PipelineConfig,
@@ -26,6 +26,7 @@ from emprob import (
     load_inputs,
     node_count,
     prepare,
+    score_patient,
     write_artifacts,
 )
 from reference_data import (
@@ -95,7 +96,7 @@ def test_config_defaults():
     {"m_max": 0},
     {"prune_alpha": -0.5},
     {"prune_alpha": float("nan")},
-    {"merge_rules": 5},
+    {"band_approach": 0},
 ])
 def test_config_validation_errors(overrides):
     with pytest.raises(ValidationError):
@@ -116,8 +117,10 @@ def test_config_from_mapping():
 
 
 def test_config_from_mapping_rejects_unknown_keys():
-    with pytest.raises(ValidationError, match="unknown config keys"):
-        PipelineConfig.from_mapping({"n_component": 2})
+    # merge rules come only from the questionnaire document
+    for doc in ({"n_component": 2}, {"merge_rules": []}):
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            PipelineConfig.from_mapping(doc)
 
 
 def test_config_from_file(tmp_path):
@@ -143,12 +146,17 @@ def test_load_inputs_defaults():
     assert questionnaire.case_count() == 1536
 
 
-def test_load_inputs_config_merge_rule():
-    rule = {
+def test_load_inputs_merge_rule_on_the_shipped_schema(tmp_path):
+    """A merge rule embedded in a copy of the shipped questionnaire merges
+    the shipped weights."""
+    doc = json.loads((files("emprob.data") / "questionnaire.json").read_text())
+    doc["merge_rules"] = [{
         "source_answer_ids": ["a_3_q1", "a_4_q1"],
         "merged_answer": {"id": "a_34_q1", "label": "Joint pain/ Itching"},
-    }
-    questionnaire, wm = load_inputs(PipelineConfig(merge_rules=(rule,)))
+    }]
+    (tmp_path / "questionnaire.json").write_text(json.dumps(doc))
+    questionnaire, wm = load_inputs(
+        PipelineConfig(questionnaire_path=str(tmp_path / "questionnaire.json")))
     assert len(questionnaire.answer_ids) == 18
     assert "a_34_q1" in questionnaire.answer_ids
     assert questionnaire.case_count() == 4 * 4 * 3 * 2 * 4 * 2
@@ -168,19 +176,17 @@ def test_load_inputs_embedded_merge_rule(tmp_path):
     assert wm.answer_ids == base_wm.answer_ids
     np.testing.assert_array_equal(wm.values, base_wm.values)
 
-    # a later rule, from the config or embedded, may name the merged answer
+    # a later rule may name an earlier rule's merged answer
     rule = {"source_answer_ids": ["a_2_q1", "a_3_q1"],
             "merged_answer": {"id": "a_23_q1", "label": "Symptoms or joint pain"}}
     doc = json.loads(Path(inputs["questionnaire_path"]).read_text())
     doc["merge_rules"].append(rule)
     (tmp_path / "chained.json").write_text(json.dumps(doc))
     sources = [base_wm.answer_ids.index(a) for a in ("a_2_q1", "a_3_q1")]
-    for cfg in (PipelineConfig(**inputs, merge_rules=(rule,)),
-                PipelineConfig(**{**inputs, "questionnaire_path": str(tmp_path / "chained.json")})):
-        questionnaire, wm = load_inputs(cfg)
-        assert [a.id for a in questionnaire.questions[0].answers] == [
-            "a_1_q1", "a_23_q1", "a_4_q1"]
-        np.testing.assert_array_equal(wm.values[:, 1], base_wm.values[:, sources].mean(axis=1))
+    questionnaire, wm = load_inputs(
+        PipelineConfig(**{**inputs, "questionnaire_path": str(tmp_path / "chained.json")}))
+    assert [a.id for a in questionnaire.questions[0].answers] == ["a_1_q1", "a_23_q1", "a_4_q1"]
+    np.testing.assert_array_equal(wm.values[:, 1], base_wm.values[:, sources].mean(axis=1))
 
 
 @pytest.mark.parametrize("order", ["reversed", "rotated"])
@@ -219,7 +225,6 @@ def test_prepare_default_result(result):
     assert not result.selection.criteria_agree
     assert result.tree_full.split_answer_id == "a_1_q3"
     assert node_count(result.tree_pruned) < node_count(result.tree_full)
-    assert tuple(band for band, _ in result.band_contexts) == DEFAULT_BANDS
     assert tuple(band for band, _ in result.lattices) == DEFAULT_BANDS
 
 
@@ -338,10 +343,11 @@ def test_halved_weights_halve_only_the_raw_sums(tmp_path, default_files):
     assert half == full
 
 
-def test_reversed_questions_keep_the_tree_sizes(tmp_path):
+def test_reversed_questions_keep_the_tree_sizes(tmp_path, result):
     """Reversing the questions reverses the answer columns.  Every case keeps
-    its category and the trees keep their sizes and root, but Gini ties
-    resolve to the lowest answer index, so some split labels move."""
+    its row, scores and category bit for bit, and the trees keep their sizes
+    and root, but Gini ties resolve to the lowest answer index, so some split
+    labels move."""
     doc = json.loads((files("emprob.data") / "questionnaire.json").read_text())
     doc["questions"].reverse()
     questionnaire = tmp_path / "questionnaire.json"
@@ -351,6 +357,10 @@ def test_reversed_questions_keep_the_tree_sizes(tmp_path):
     assert node_count(reversed_result.tree_full) == 679
     assert node_count(reversed_result.tree_pruned) == 25
     assert reversed_result.tree_full.split_answer_id == "a_1_q3"
+    assert reversed_result.kde.bandwidth == result.kde.bandwidth
+    for i in range(len(result.case_set)):
+        case = result.case_set.case(i)
+        assert score_patient(case, reversed_result.table) == score_patient(case, result.table)
 
 
 def test_equal_sums_get_identical_scores(result):
@@ -359,8 +369,8 @@ def test_equal_sums_get_identical_scores(result):
     table = result.table
     grid = np.rint(table.raw_sums * 60)
     assert np.unique(grid).size == 364
-    for name in SCORE_NAMES:
-        assert len(set(zip(grid, table.scores(name)))) == 364, name
+    for approach in APPROACHES:
+        assert len(set(zip(grid, table.scores_by_approach(approach)))) == 364, approach
 
 
 def test_prepare_fits_each_mixture_once(prepared):
@@ -383,14 +393,14 @@ def test_pipeline_result_is_lazy(monkeypatch):
 
 
 def test_prepare_band_counts_partition_cases(result):
-    sizes = [ctx.n_objects for _, ctx in result.band_contexts]
+    sizes = [lattice.context.n_objects for _, lattice in result.lattices]
     assert sum(sizes) == 1536
     scores = result.table.score_gmm_cdf
-    for (lo, hi), ctx in result.band_contexts:
+    for (lo, hi), lattice in result.lattices:
         mask = (scores >= lo) & (scores < hi)
         if hi == 1.0:
             mask |= scores == 1.0
-        assert ctx.n_objects == int(mask.sum())
+        assert lattice.context.n_objects == int(mask.sum())
 
 
 def test_prepare_category_matches_thresholds(result):

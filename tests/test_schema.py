@@ -1,3 +1,7 @@
+import json
+import re
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,9 +17,9 @@ from emprob import (
     load_weight_matrix,
     mean_weights,
     merge_answers,
-    parse_merge_rule,
     validate_weights,
 )
+from emprob.schema import parse_merge_rule
 from reference_data import unmerged_questionnaire, unmerged_weight_matrix
 
 
@@ -175,6 +179,20 @@ def test_merge_answers_errors(questionnaire, weight_matrix):
             {"source_answer_ids": ["nope"], "merged_answer": {"id": "m", "label": "m"}},
             questionnaire,
         )
+    # the message names the sources as written, also those the questionnaire
+    # lacks: unknown ids, or an earlier rule's merged answer
+    rules = {
+        "('zz1', 'zz2')": [{"source_answer_ids": ["zz1", "zz2"],
+                            "merged_answer": {"id": "m", "label": "m"}}],
+        "('m', 'zz')": [{"source_answer_ids": ["a_3_q1", "a_4_q1"],
+                         "merged_answer": {"id": "m", "label": "m"}},
+                        {"source_answer_ids": ["m", "zz"],
+                         "merged_answer": {"id": "n", "label": "n"}}],
+    }
+    shipped = json.loads((files("emprob.data") / "questionnaire.json").read_text())
+    for sources, merge_rules in rules.items():
+        with pytest.raises(ValidationError, match=re.escape(f"merge rule sources {sources} ")):
+            load_questionnaire({**shipped, "merge_rules": merge_rules})
     q = unmerged_questionnaire()
     with pytest.raises(ValidationError):
         merge_answers(q, weight_matrix, q.merge_rules[0])  # sources absent from matrix

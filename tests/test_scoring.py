@@ -15,6 +15,7 @@ from emprob import (
     score_patient,
     validate_thresholds,
 )
+from emprob.scoring import APPROACHES, COLUMNS
 from reference_data import REFERENCE_GMM
 from test_cases import MAX_CASE, MIN_CASE
 
@@ -48,23 +49,20 @@ def test_ill_component_is_highest_mean():
 
 
 def test_score_table_ranges_and_category_column(score_table):
-    for name in ("gmm_cdf", "kde_cdf", "posterior"):
-        s = score_table.scores(name)
+    for s in (score_table.score_gmm_cdf, score_table.score_kde_cdf, score_table.score_posterior):
         assert s.shape == (1536,)
         assert (s >= 0).all() and (s <= 1).all()
-    assert_array_equal(
-        score_table.category, categorize_array(score_table.scores("gmm_cdf"))
-    )
+    assert_array_equal(score_table.category, categorize_array(score_table.score_gmm_cdf))
 
 
 def test_scores_by_approach_mapping(score_table):
     assert_array_equal(score_table.scores_by_approach(1), score_table.score_gmm_cdf)
     assert_array_equal(score_table.scores_by_approach(2), score_table.score_kde_cdf)
     assert_array_equal(score_table.scores_by_approach(3), score_table.score_posterior)
-    with pytest.raises(ValidationError):
-        score_table.scores_by_approach(4)
-    with pytest.raises(ValidationError):
-        score_table.scores("bogus")
+    assert APPROACHES == (1, 2, 3)
+    for bad in (0, 4, "1"):
+        with pytest.raises(ValidationError):
+            score_table.scores_by_approach(bad)
 
 
 def test_elicit_requires_case_set(sum_table):
@@ -98,24 +96,26 @@ def test_posterior_dominates_spot_check(score_table):
 
 
 def test_score_patient_matches_table_rows(score_table, case_set):
+    """The row holds the answers, every column under its output name, and
+    the category name, in that order."""
     for i in range(len(case_set)):
-        ps = score_patient(case_set.case(i), score_table)
-        assert ps.raw_sum == score_table.raw_sums[i]
-        assert ps.normalized == score_table.normalized[i]
-        assert ps.score_gmm_cdf == score_table.score_gmm_cdf[i]
-        assert ps.score_kde_cdf == score_table.score_kde_cdf[i]
-        assert ps.score_posterior == score_table.score_posterior[i]
-        assert ps.category == score_table.category[i]
+        case = case_set.case(i)
+        row = score_patient(case, score_table)
+        assert list(row) == ["answers", *(column for column, _ in COLUMNS), "category"]
+        assert row["answers"] == sorted(case.true_answers)
+        for column, field in COLUMNS:
+            assert row[column] == getattr(score_table, field)[i], column
+        assert row["category"] == ProbabilityCategory(score_table.category[i]).name
 
 
 def test_score_patient_reference_extremes(reference_score_table):
     top = score_patient(MAX_CASE, reference_score_table)
-    assert top.normalized == 1.0
-    assert top.score_gmm_cdf == pytest.approx(0.998, abs=5e-4)
+    assert top["normalized_sum"] == 1.0
+    assert top["p_gmm_cdf"] == pytest.approx(0.998, abs=5e-4)
     bottom = score_patient(MIN_CASE, reference_score_table)
-    assert bottom.normalized == 0.0
-    assert bottom.score_gmm_cdf == pytest.approx(0.0010, abs=5e-5)
-    assert bottom.category is ProbabilityCategory.LOW
+    assert bottom["normalized_sum"] == 0.0
+    assert bottom["p_gmm_cdf"] == pytest.approx(0.0010, abs=5e-5)
+    assert bottom["category"] == "LOW"
 
 
 def test_score_patient_uses_the_table_thresholds(sum_table, gmm, kde, case_set):
@@ -125,14 +125,16 @@ def test_score_patient_uses_the_table_thresholds(sum_table, gmm, kde, case_set):
     moved = np.flatnonzero(((p1 >= 0.2) & (p1 < 0.33)) | ((p1 >= 0.5) & (p1 < 0.68)))
     assert moved.size
     for i in moved[:: max(1, moved.size // 20)]:
-        ps = score_patient(case_set.case(i), table)
-        assert ps.category == categorize_array([ps.score_gmm_cdf], (0.2, 0.5))[0]
-        assert ps.category != categorize_array([ps.score_gmm_cdf])[0]
+        row = score_patient(case_set.case(i), table)
+        category = ProbabilityCategory[row["category"]]
+        assert category == categorize_array([row["p_gmm_cdf"]], (0.2, 0.5))[0]
+        assert category != categorize_array([row["p_gmm_cdf"]])[0]
 
 
 def test_score_patient_accepts_answer_ids(score_table):
-    ps = score_patient(sorted(MAX_CASE.true_answers), score_table)
-    assert ps.case == MAX_CASE
+    row = score_patient(sorted(MAX_CASE.true_answers), score_table)
+    assert row == score_patient(MAX_CASE, score_table)
+    assert row["answers"] == sorted(MAX_CASE.true_answers)
 
 
 def test_score_patient_rejects_invalid_case(score_table):
