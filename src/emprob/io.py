@@ -39,9 +39,11 @@ def export_cxt(context: FormalContext, path: str | Path) -> None:
     lines = ["B", "", str(context.n_objects), str(context.n_attributes), ""]
     lines.extend(context.objects)
     lines.extend(context.attributes)
-    for row in context.incidence:
-        lines.append("".join("X" if v else "." for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one row of X and . per object, each ended by a newline
+    block = np.full((context.n_objects, context.n_attributes + 1), ord("\n"), np.uint8)
+    block[:, :-1] = np.where(context.incidence, ord("X"), ord("."))
+    text = "\n".join(lines) + "\n" + block.tobytes().decode("ascii")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _dot_escape(s: str) -> str:
@@ -118,16 +120,19 @@ def export_scores_csv(table: ScoreTable, path: str | Path) -> None:
     ``COLUMNS`` (raw and normalized sums, the three scores), and the
     category."""
     header = ["case_id", *table.answer_ids, *(column for column, _ in COLUMNS), "category"]
-    lines = [",".join(header)]
-    matrix = table.case_set.matrix
-    values = [getattr(table, field) for _, field in COLUMNS]
-    for i in range(len(table)):
-        row = [str(i)]
-        row.extend("1" if v else "0" for v in matrix[i])
-        row.extend(format_float(v[i]) for v in values)
-        row.append(CATEGORY_NAMES[table.category[i]])
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    width = 2 * len(table.answer_ids)
+    # each row's indicator cells, "0," or "1," per answer
+    cells = np.full((len(table), width), ord(","), np.uint8)
+    cells[:, ::2] = np.where(table.case_set.matrix, ord("1"), ord("0"))
+    indicators = cells.tobytes().decode("ascii")
+    scores = np.column_stack([getattr(table, field) for _, field in COLUMNS]).tolist()
+    # %.17g renders a float as format_float does
+    row = "%d,%s" + ",".join(["%.17g"] * len(COLUMNS)) + ",%s\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for i, (values, k) in enumerate(zip(scores, table.category.tolist())):
+            cells_i = indicators[i * width : (i + 1) * width]
+            f.write(row % (i, cells_i, *values, CATEGORY_NAMES[k]))
 
 
 def export_density_samples_csv(gmm, kde, path: str | Path) -> None:

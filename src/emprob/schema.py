@@ -261,13 +261,10 @@ def _parse_answer(raw: Mapping, question_id: str) -> AnswerOption:
         raise ValidationError(f"answer in question {question_id!r} missing field {e}") from None
 
 
-def _source_question(
-    questionnaire: Questionnaire, sources: tuple[str, ...], *, all_known: bool = True
-) -> Question:
-    """The one question of ``questionnaire`` that owns every merge source;
-    unless ``all_known``, only the sources it has need an owner."""
+def _source_question(questionnaire: Questionnaire, sources: tuple[str, ...]) -> Question:
+    """The one question of ``questionnaire`` that owns every merge source."""
     owners = {q.id: q for q in questionnaire.questions for a in q.answers if a.id in sources}
-    if len(owners) != 1 or (all_known and not set(sources) <= set(questionnaire.answer_ids)):
+    if len(owners) != 1 or not set(sources) <= set(questionnaire.answer_ids):
         raise ValidationError(
             f"merge rule sources {sources} must all belong to one existing question"
         )
@@ -276,17 +273,42 @@ def _source_question(
 
 def parse_merge_rule(doc: Mapping, questionnaire: Questionnaire) -> MergeRule:
     """Build a MergeRule from its mapping in a questionnaire document,
-    resolved against a questionnaire (the sources it has must all belong to
-    one question)."""
+    resolved against a questionnaire as the earlier rules leave it (the
+    sources must all belong to one of its questions)."""
     doc = _mapping(doc, "merge rule")
     for key in ("source_answer_ids", "merged_answer"):
         if key not in doc:
             raise ValidationError(f"merge rule missing field {key!r}")
     sources = tuple(str(s) for s in _list(doc, "source_answer_ids", "merge rule"))
-    # a source may be the merged answer of an earlier rule; merge_answers
-    # checks every source when the rule is applied
-    question = _source_question(questionnaire, sources, all_known=False)
+    question = _source_question(questionnaire, sources)
     return MergeRule(sources, _parse_answer(doc["merged_answer"], question.id))
+
+
+def _merge_questions(questionnaire: Questionnaire, rule: MergeRule) -> Questionnaire:
+    """The questionnaire with the rule's source answers, all of one
+    question, replaced by the merged answer at the first source's position,
+    and the rule dropped from its merge rules."""
+    sources, merged = rule.source_answer_ids, rule.merged_answer
+    question = _source_question(questionnaire, sources)
+    if question.none_answer_id in sources:
+        raise ValidationError("cannot merge away the none-answer of a question")
+    if merged.id in set(questionnaire.answer_ids) - set(sources):
+        raise ValidationError(f"merged answer id {merged.id!r} collides with an existing answer")
+    if merged.question_id != question.id:
+        raise ValidationError(
+            f"merged answer {merged.id!r} assigned to question "
+            f"{merged.question_id!r}, sources belong to {question.id!r}"
+        )
+    first = min(map([a.id for a in question.answers].index, sources))
+    kept = [a for a in question.answers if a.id not in sources]
+    answers = (*kept[:first], merged, *kept[first:])
+    return Questionnaire(
+        questions=tuple(
+            replace(q, answers=answers) if q is question else q
+            for q in questionnaire.questions
+        ),
+        merge_rules=tuple(r for r in questionnaire.merge_rules if r != rule),
+    )
 
 
 def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
@@ -322,8 +344,12 @@ def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
             )
         )
     questionnaire = Questionnaire(questions=tuple(questions))
-    rules = tuple(parse_merge_rule(r, questionnaire) for r in _list(doc, "merge_rules"))
-    return Questionnaire(questions=questionnaire.questions, merge_rules=rules)
+    # each rule is resolved against the questions as the earlier rules leave them
+    rules, merged = [], questionnaire
+    for raw in _list(doc, "merge_rules"):
+        rules.append(parse_merge_rule(raw, merged))
+        merged = _merge_questions(merged, rules[-1])
+    return replace(questionnaire, merge_rules=tuple(rules))
 
 
 def load_weight_matrix(source: str | Path) -> WeightMatrix:
@@ -403,30 +429,10 @@ def merge_answers(
     """
     if weights.answer_ids != questionnaire.answer_ids:
         raise ValidationError("weight matrix answers differ from the questionnaire's")
-    sources, merged = rule.source_answer_ids, rule.merged_answer
-    question = _source_question(questionnaire, sources)
-    if question.none_answer_id in sources:
-        raise ValidationError("cannot merge away the none-answer of a question")
-    if merged.id in set(questionnaire.answer_ids) - set(sources):
-        raise ValidationError(f"merged answer id {merged.id!r} collides with an existing answer")
-    if merged.question_id != question.id:
-        raise ValidationError(
-            f"merged answer {merged.id!r} assigned to question "
-            f"{merged.question_id!r}, sources belong to {question.id!r}"
-        )
-    first = min(map([a.id for a in question.answers].index, sources))
-    kept = [a for a in question.answers if a.id not in sources]
-    answers = (*kept[:first], merged, *kept[first:])
-    merged_q = Questionnaire(
-        questions=tuple(
-            replace(q, answers=answers) if q is question else q
-            for q in questionnaire.questions
-        ),
-        merge_rules=tuple(r for r in questionnaire.merge_rules if r != rule),
-    )
-    source_cols = [questionnaire.answer_ids.index(a) for a in sources]
+    merged_q = _merge_questions(questionnaire, rule)
+    source_cols = [questionnaire.answer_ids.index(a) for a in rule.source_answer_ids]
     columns = dict(zip(weights.answer_ids, weights.values.T))
-    columns[merged.id] = weights.values[:, source_cols].mean(axis=1)
+    columns[rule.merged_answer.id] = weights.values[:, source_cols].mean(axis=1)
     values = np.column_stack([columns[a] for a in merged_q.answer_ids])
     return merged_q, WeightMatrix(weights.doctors, merged_q.answer_ids, values)
 

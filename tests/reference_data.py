@@ -1,8 +1,9 @@
 """Reference data shared by the test modules: the unmerged 22-answer schema,
 the reference two-component mixture, formal contexts for the FCA tests, and
 oracles kept apart from the code they check: readers for the files the
-exporters write, derivation by position on a context's incidence, and a
-per-node tree grower, a root-to-leaf predictor and a round-based pruner.
+exporters write, a row-by-row scores writer, derivation by position on a
+context's incidence, and a per-node tree grower, a root-to-leaf predictor
+and a round-based pruner.
 
 It lives outside conftest.py because test modules import it by name, and
 the benchmark's tests have a conftest module of their own.
@@ -61,6 +62,15 @@ def unmerged_questionnaire_doc():
             }
         )
     return doc
+
+
+# q2's four answers merged in pairs, then the two pairs merged: the last
+# rule's sources are both earlier rules' merged answers
+CHAINED_Q2_RULES = [
+    {"source_answer_ids": ["a_1_q2", "a_2_q2"], "merged_answer": {"id": "m1", "label": "m1"}},
+    {"source_answer_ids": ["a_3_q2", "a_4_q2"], "merged_answer": {"id": "m2", "label": "m2"}},
+    {"source_answer_ids": ["m1", "m2"], "merged_answer": {"id": "m3", "label": "m3"}},
+]
 
 
 def unmerged_questionnaire():
@@ -145,6 +155,22 @@ def read_cxt(path):
 
 
 SCORE_FIELDS = ("raw_sums", "normalized", "score_gmm_cdf", "score_kde_cdf", "score_posterior")
+SCORE_COLUMNS = ("raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf", "p_posterior")
+
+
+def write_scores_rows(table, path):
+    """scores.csv built one row at a time from its cells and joined into
+    one string, the byte reference for export_scores_csv."""
+    lines = [",".join(["case_id", *table.answer_ids, *SCORE_COLUMNS, "category"])]
+    values = [getattr(table, field) for field in SCORE_FIELDS]
+    categories = [c.name for c in ProbabilityCategory]
+    for i in range(len(table)):
+        row = [str(i)]
+        row.extend("1" if v else "0" for v in table.case_set.matrix[i])
+        row.extend(format(float(v[i]), ".17g") for v in values)
+        row.append(categories[table.category[i]])
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_scores_csv(path):
@@ -152,8 +178,7 @@ def read_scores_csv(path):
     ScoreTable fields it holds, plus case_ids, answer_ids and matrix."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
-    tail = ["raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf", "p_posterior", "category"]
-    assert header[0] == "case_id" and header[-6:] == tail, header
+    assert header[0] == "case_id" and header[-6:] == [*SCORE_COLUMNS, "category"], header
     assert rows and all(len(row) == len(header) for row in rows)
     cols = list(zip(*rows))
     assert all(set(col) <= {"0", "1"} for col in cols[1:-6])

@@ -284,3 +284,26 @@ def test_wide_sparse_contexts_match_the_definition():
         np.testing.assert_array_equal(lattice.extents, extents)
         np.testing.assert_array_equal(lattice.covers, covers)
         assert lattice.edges == tuple(map(tuple, covers.tolist()))
+
+
+def test_mask_limited_candidates_match_the_definition():
+    """Seeded contexts for every case of the candidate and bottom rules:
+    objects with every answer (the bottom's extent is then not empty),
+    all-zero and duplicate rows, no objects or no answers, and more than 64
+    objects or more than 64 answers."""
+    rng = np.random.default_rng(19)
+    shapes = ((0, 5), (7, 0), (12, 6), (40, 9), (70, 8), (20, 70), (90, 80))
+    for (n_obj, n_att), full_rows in itertools.product(shapes, (0, 2)):
+        for _ in range(3):
+            inc = rng.random((n_obj, n_att)) < min(0.5, 2.0 / max(n_att, 1))
+            if n_obj >= 6:
+                inc[rng.integers(n_obj, size=2)] = False  # rows with no answer
+                inc[3:5] = inc[5]  # duplicate rows
+                inc[:full_rows] = True
+            ctx = FormalContext(tuple(f"o{i}" for i in range(n_obj)),
+                                tuple(f"y{j}" for j in range(n_att)), inc)
+            intents, extents, covers = reference_lattice(ctx)
+            lattice = build_lattice(ctx)
+            np.testing.assert_array_equal(lattice.intents, intents)
+            np.testing.assert_array_equal(lattice.extents, extents)
+            np.testing.assert_array_equal(lattice.covers, covers)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 from emprob import (
     FormalContext,
+    PipelineConfig,
     ValidationError,
     build_lattice,
     export_cxt,
@@ -15,6 +17,7 @@ from emprob import (
     fit_decision_tree,
     format_float,
     lattice_to_dot,
+    prepare,
     tree_to_dot,
     write_json,
 )
@@ -24,6 +27,8 @@ from reference_data import (
     random_context,
     read_cxt,
     read_scores_csv,
+    write_scores_rows,
+    write_unmerged_inputs,
 )
 
 DIAGONAL = FormalContext(
@@ -104,6 +109,21 @@ def test_scores_csv_full_precision(score_table, tmp_path):
     # raw sum of the all-first-answers case is 7.2; the cell must carry all
     # 17 significant digits, not a shortest-repr rendering
     assert ",7.2000000000000002," in first
+
+
+def test_scores_csv_matches_the_row_writer(score_table, tmp_path):
+    """Byte for byte the row-by-row reference writer's file: on the default
+    table, on the table of the unmerged inputs merged back, and on raw sums
+    that need every digit or print specially."""
+    unmerged = prepare(PipelineConfig(**write_unmerged_inputs(tmp_path))).table
+    raw = np.random.default_rng(19).standard_normal(len(score_table)) * 10.0
+    raw[:6] = (-0.0, 5e-324, 1e-300, 1 / 3, 7.2, -1e16)
+    special = dataclasses.replace(score_table, raw_sums=raw)
+    for k, table in enumerate((score_table, unmerged, special)):
+        export_scores_csv(table, tmp_path / f"scores_{k}.csv")
+        write_scores_rows(table, tmp_path / f"rows_{k}.csv")
+        written = (tmp_path / f"scores_{k}.csv", tmp_path / f"rows_{k}.csv")
+        assert written[0].read_bytes() == written[1].read_bytes(), k
 
 
 SCORES_HEADER = "case_id,a_1_q1,raw_sum,normalized_sum,p_gmm_cdf,p_kde_cdf,p_posterior,category\n"

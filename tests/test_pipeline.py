@@ -30,6 +30,7 @@ from emprob import (
     write_artifacts,
 )
 from reference_data import (
+    CHAINED_Q2_RULES,
     UNMERGED_SYMPTOM_IDS,
     unmerged_weight_matrix,
     write_unmerged_inputs,
@@ -189,6 +190,22 @@ def test_load_inputs_embedded_merge_rule(tmp_path):
     np.testing.assert_array_equal(wm.values[:, 1], base_wm.values[:, sources].mean(axis=1))
 
 
+def test_load_inputs_chained_merge_rules(tmp_path):
+    """Rules whose sources are all earlier rules' merged answers: q2's four
+    answers become m3, weighted by the mean of the four source weights.
+    The shipped q2 weights are whole numbers, so every mean is exact."""
+    doc = json.loads((files("emprob.data") / "questionnaire.json").read_text())
+    doc["merge_rules"] = CHAINED_Q2_RULES
+    (tmp_path / "questionnaire.json").write_text(json.dumps(doc))
+    questionnaire, wm = load_inputs(
+        PipelineConfig(questionnaire_path=str(tmp_path / "questionnaire.json")))
+    assert [a.id for a in questionnaire.questions[1].answers] == ["m3"]
+    base_q, base_wm = load_inputs(PipelineConfig())
+    sources = [base_wm.answer_ids.index(f"a_{k}_q2") for k in range(1, 5)]
+    merged = wm.values[:, wm.answer_ids.index("m3")]
+    np.testing.assert_array_equal(merged, base_wm.values[:, sources].sum(axis=1) / 4)
+
+
 @pytest.mark.parametrize("order", ["reversed", "rotated"])
 def test_load_inputs_accepts_weight_columns_in_any_order(tmp_path, order):
     """Weights are matched to the questionnaire by answer id, not position."""
@@ -245,6 +262,52 @@ DEFAULT_LATTICES = {
 }
 
 
+# per default band: the SHA-256 of its context (CXT) and supports (CSV)
+# files, as written before the writers rendered from byte arrays
+DEFAULT_BAND_FILES = {
+    "0_0.1": (
+        "5ba2646ab0422977950d7e6493bb72f8647f1130427219fdc3225c5430f50e74",
+        "fdc85b6fa426132805910586fbc9d1df6bd9ed54a337989b3ec98de81cd5e4be",
+    ),
+    "0.1_0.2": (
+        "73696eb0766d7854d872c393d0a5a03aca559f7e21bff42294cf53049aa5c50b",
+        "712712409f38697d09e51280642fb50a80b900cfc677d99179674ac2a6572447",
+    ),
+    "0.2_0.3": (
+        "5b9160291493f9ae0e3d8e9c71bcce68574bf685e3ac2a7677d07b508759835e",
+        "5539cfdfa77c7f3fb8b90886a7cdcd3b757b5c41a68b9f7ac47ad1c6dea6e5b8",
+    ),
+    "0.3_0.4": (
+        "f2d24a0021d6620577d8feabc10d6e97c68f690ead691a91bb25d6c93bac74e8",
+        "121e22e74cffb859287884d87c9ee704a84e50575d780a97794cd28a677287ef",
+    ),
+    "0.4_0.5": (
+        "a394dd7c4a4df1514088831b6c9b463599a7999557d883623e52fef4af4427ce",
+        "6b038cf0f57b590534dcd59d22abc449c3f562ba0c85071a9b077a634c7d0c58",
+    ),
+    "0.5_0.6": (
+        "37b7b782135cc31a08a2c1706926bdcd2f4e24098d25fde4460f0dd0d7efd808",
+        "d7c174f2f54972c398c0052a40192e005308e70d35f3631ac2b79a11142cd1a9",
+    ),
+    "0.6_0.7": (
+        "41eda077b51a963b9f7002a2b701a3fe3ac93a9beef97b48cb95f5994e975c13",
+        "f5d7512cee2f8ba05253dc8c6f0b1d9114cca8df9cd0009b53f481ab1ee88c92",
+    ),
+    "0.7_0.8": (
+        "04d91b25309e9b0e9e7e2e3aff5e5203f154da1752dca9729460263f62b45e4e",
+        "6a5a09a9fd82857444d9368b3cefbdb0c1c49358fdf6332aaa5a438e1d8aec03",
+    ),
+    "0.8_0.9": (
+        "415dfa801cf2b625f4acc05a62ec0dade7dd9c82e350ec43cfb7062162881a69",
+        "cc5038187363392a694f210cc50356cd58be213f1e5f95a7518e680da2288759",
+    ),
+    "0.9_1": (
+        "cd4fd60cfe32c80478499ccd29025241e15086c4aa2cb98af978638c127313f7",
+        "23e349aed8e6f676cc3e13bf4047a5c9103ede006ae0196bf1c8c76bf3a9c839",
+    ),
+}
+
+
 def test_default_lattices_match_reference(result, tmp_path):
     got = {band_tag(band): (len(lattice.concepts), len(lattice.edges))
            for band, lattice in result.lattices}
@@ -253,6 +316,9 @@ def test_default_lattices_match_reference(result, tmp_path):
     for tag, (_, _, digest) in DEFAULT_LATTICES.items():
         dot = (tmp_path / f"lattice_{tag}.dot").read_bytes()
         assert hashlib.sha256(dot).hexdigest() == digest, tag
+    for tag, digests in DEFAULT_BAND_FILES.items():
+        written = (tmp_path / f"band_{tag}.cxt", tmp_path / f"supports_{tag}.csv")
+        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in written) == digests, tag
 
 
 def test_one_band_lattice_matches_reference(result):

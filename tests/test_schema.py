@@ -20,7 +20,7 @@ from emprob import (
     validate_weights,
 )
 from emprob.schema import parse_merge_rule
-from reference_data import unmerged_questionnaire, unmerged_weight_matrix
+from reference_data import CHAINED_Q2_RULES, unmerged_questionnaire, unmerged_weight_matrix
 
 
 def test_default_questionnaire_shape():
@@ -180,7 +180,7 @@ def test_merge_answers_errors(questionnaire, weight_matrix):
             questionnaire,
         )
     # the message names the sources as written, also those the questionnaire
-    # lacks: unknown ids, or an earlier rule's merged answer
+    # lacks, next to an earlier rule's merged answer or not
     rules = {
         "('zz1', 'zz2')": [{"source_answer_ids": ["zz1", "zz2"],
                             "merged_answer": {"id": "m", "label": "m"}}],
@@ -204,6 +204,17 @@ def test_merge_answers_errors(questionnaire, weight_matrix):
     for fault, (sources, merged) in malformed.items():
         with pytest.raises(ValidationError, match=fault):
             merge_answers(questionnaire, weight_matrix, MergeRule(sources, merged))
+
+
+def test_load_questionnaire_chained_merge_rules():
+    """A rule whose sources are all earlier rules' merged answers resolves
+    against the questions as those rules leave them."""
+    shipped = json.loads((files("emprob.data") / "questionnaire.json").read_text())
+    q = load_questionnaire({**shipped, "merge_rules": CHAINED_Q2_RULES})
+    assert q.questions == default_questionnaire().questions
+    assert [r.source_answer_ids for r in q.merge_rules] == [
+        ("a_1_q2", "a_2_q2"), ("a_3_q2", "a_4_q2"), ("m1", "m2")]
+    assert {r.merged_answer.question_id for r in q.merge_rules} == {"q2"}
 
 
 def test_merge_answers_questionnaire_structure():
