@@ -231,8 +231,8 @@ def build_lattice(context: FormalContext) -> ConceptLattice:
     cols = _pack(inc.T)  # (m, bytes): each answer's extent
     level_ext = _pack(np.ones((1, n), dtype=bool))  # (concepts, bytes)
     level_int = _fold(meet, level_ext, np.bitwise_and)  # (concepts, words)
-    ext_parts, int_parts = [level_ext], [level_int]
-    keys = level_int  # the intent of every concept found
+    ext_parts = [level_ext]
+    keys = level_int  # the intent of every concept found, in the order found
     first = 0  # index of the level's first concept
     lowers, uppers = [], []
     while len(level_int):
@@ -271,15 +271,14 @@ def build_lattice(context: FormalContext) -> ConceptLattice:
         uppers.append(first + np.concatenate([parent[cover], bottom_of]))
         level_ext, level_int = cover_ext[new], cover_keys[new]
         ext_parts.append(level_ext)
-        int_parts.append(level_int)
         keys = np.concatenate([keys, level_int])
         first = n_known
-    intents = _unpack(np.concatenate(int_parts), m)
+    intents = _unpack(keys, m)
     order = np.lexsort(_words(intents, "big").T[::-1])
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     lower, upper = position[np.concatenate(lowers)], position[np.concatenate(uppers)]
-    edge_order = np.argsort(lower * len(order) + upper)
+    edge_order = np.argsort(lower * len(order) + upper, kind="stable")
     extents = np.concatenate(ext_parts)[order]
     return ConceptLattice(
         context=context,

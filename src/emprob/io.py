@@ -41,7 +41,7 @@ def export_cxt(context: FormalContext, path: str | Path) -> None:
     lines.extend(context.attributes)
     # one row of X and . per object, each ended by a newline
     block = np.full((context.n_objects, context.n_attributes + 1), ord("\n"), np.uint8)
-    block[:, :-1] = np.where(context.incidence, ord("X"), ord("."))
+    block[:, :-1] = np.where(context.incidence, np.uint8(ord("X")), np.uint8(ord(".")))
     text = "\n".join(lines) + "\n" + block.tobytes().decode("ascii")
     Path(path).write_text(text, encoding="utf-8")
 
@@ -123,7 +123,7 @@ def export_scores_csv(table: ScoreTable, path: str | Path) -> None:
     width = 2 * len(table.answer_ids)
     # each row's indicator cells, "0," or "1," per answer
     cells = np.full((len(table), width), ord(","), np.uint8)
-    cells[:, ::2] = np.where(table.case_set.matrix, ord("1"), ord("0"))
+    cells[:, ::2] = np.where(table.case_set.matrix, np.uint8(ord("1")), np.uint8(ord("0")))
     indicators = cells.tobytes().decode("ascii")
     scores = np.column_stack([getattr(table, field) for _, field in COLUMNS]).tolist()
     # %.17g renders a float as format_float does
