@@ -5,10 +5,14 @@ initialization (sorted data split into equal-count blocks), so repeated runs
 on the same data give identical parameters.  Each cycle is one SQUAREM step
 followed by one safeguarded Newton step, which takes the fit from EM's slow
 crawl near the optimum to a stationary point in a few cycles.  All likelihood
-work happens in log space with max-subtraction to avoid underflow.  Model
-order can be chosen by information criteria; the kernel estimate uses a
-Gaussian kernel with Silverman's bandwidth.  Both work on the distinct values
-of the sample weighted by their counts.
+work happens in log space with max-subtraction to avoid underflow, from one
+log-density of the weighted components (_log_components) that EM's E-step
+and the fitted model share.  The stop rule is fixed in the constants
+_LL_TOL, _PARAM_TOL and _MAX_CYCLES.  A fit needs more distinct values than
+components (check_component_count).  Model order can be chosen by
+information criteria; the kernel estimate uses a Gaussian kernel with
+Silverman's bandwidth.  Both work on the distinct values of the sample
+weighted by their counts.
 
 The normal distribution function both models use, ndtr, is a numpy port of
 Cephes ndtr/erf/erfc (Moshier 1989, Methods and Programs for Mathematical
@@ -28,8 +32,12 @@ from emprob.schema import ValidationError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _SIGMA_FLOOR = 1e-6
-# a fit converges only once no weight, mean or sigma moves by more than this
+# EM's stop rule, fixed: a fit converges once, in one cycle, the
+# log-likelihood changes by at most _LL_TOL relative and no weight, mean or
+# sigma moves by more than _PARAM_TOL; it stops unconverged after _MAX_CYCLES
+_LL_TOL = 1e-9
 _PARAM_TOL = 1e-8
+_MAX_CYCLES = 10_000
 # a Newton step that lowers the log-likelihood is halved at most this often
 _NEWTON_HALVINGS = 8
 
@@ -114,6 +122,13 @@ def ndtr(a, out: np.ndarray | None = None):
     return out if out.ndim else out[()]
 
 
+def _log_components(x: np.ndarray, w, mu, sg) -> np.ndarray:
+    """log(w_k N(x | mu_k, sg_k)) with a trailing component axis."""
+    z = (x[..., None] - mu) / sg
+    with np.errstate(over="ignore"):  # far-tail z*z may hit inf, handled downstream
+        return np.log(w) - np.log(sg) - 0.5 * _LOG_2PI - 0.5 * z * z
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Mixture of univariate normals, components in ascending order of mean.
@@ -152,34 +167,19 @@ class GaussianMixture:
     def n_components(self) -> int:
         return len(self.weights)
 
-    def _log_components(self, x: np.ndarray) -> np.ndarray:
-        """log(phi_k N(x | mu_k, sigma_k)) with trailing component axis."""
-        z = (x[..., None] - self._m) / self._s
-        with np.errstate(over="ignore"):  # far-tail z*z may hit inf, handled downstream
-            return np.log(self._w) - np.log(self._s) - 0.5 * _LOG_2PI - 0.5 * z * z
-
     def component_pdfs(self, x):
         """Weighted per-component densities phi_k N(x|mu_k, sigma_k), last
         axis indexing components; their sum over that axis is pdf(x)."""
         x = np.asarray(x, dtype=float)
-        return np.exp(self._log_components(x))
+        return np.exp(_log_components(x, self._w, self._m, self._s))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        logc = self._log_components(x)
+        logc = _log_components(x, self._w, self._m, self._s)
         mx = logc.max(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore"):
             out = np.exp(mx[..., 0]) * np.exp(logc - mx).sum(axis=-1)
         out = np.where(np.isfinite(mx[..., 0]), out, 0.0)
-        return out if out.ndim else float(out)
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        logc = self._log_components(x)
-        mx = logc.max(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            out = mx[..., 0] + np.log(np.exp(logc - mx).sum(axis=-1))
-        out = np.where(np.isfinite(mx[..., 0]), out, -np.inf)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
@@ -198,7 +198,7 @@ class GaussianMixture:
         if not 0 <= k < self.n_components:
             raise ValidationError(f"component index {k} outside [0, {self.n_components})")
         x = np.asarray(x, dtype=float)
-        logc = self._log_components(x)
+        logc = _log_components(x, self._w, self._m, self._s)
         mx = logc.max(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore"):
             ratios = np.exp(logc - mx)
@@ -207,9 +207,6 @@ class GaussianMixture:
         if np.any(degenerate):
             resp = np.where(degenerate, self.weights[k], resp)
         return resp if resp.ndim else float(resp)
-
-    def log_likelihood(self, x) -> float:
-        return float(np.sum(self.logpdf(np.asarray(x, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,6 @@ class FitReport:
 class ComponentSelection:
     """Information-criterion comparison across candidate component counts."""
 
-    best_m: int
     reports: tuple[FitReport, ...]
     aic_best_m: int
     bic_best_m: int
@@ -239,12 +235,11 @@ class ComponentSelection:
 
     @classmethod
     def from_reports(cls, reports: Sequence[FitReport]) -> "ComponentSelection":
-        """Compare candidate fits; best_m minimizes BIC, and criteria_agree
-        says whether AIC prefers the same count."""
+        """Compare candidate fits; bic_best_m minimizes BIC, and
+        criteria_agree says whether AIC prefers the same count."""
         aic_best = min(reports, key=lambda r: r.aic).n_components
         bic_best = min(reports, key=lambda r: r.bic).n_components
         return cls(
-            best_m=bic_best,
             reports=tuple(reports),
             aic_best_m=aic_best,
             bic_best_m=bic_best,
@@ -252,18 +247,23 @@ class ComponentSelection:
         )
 
 
-def gmm_parameter_count(n_components: int) -> int:
-    """Free parameters of a univariate mixture: per component a weight, mean,
-    and sigma, minus one weight fixed by normalization."""
-    return 3 * n_components - 1
-
-
-def aic(log_likelihood: float, n_params: int) -> float:
-    return 2.0 * n_params - 2.0 * log_likelihood
-
-
-def bic(log_likelihood: float, n_params: int, n_observations: int) -> float:
-    return n_params * float(np.log(n_observations)) - 2.0 * log_likelihood
+def check_component_count(data, n_components: int) -> np.ndarray:
+    """The data as a flat float array, checked for an n_components mixture:
+    finite, with at least one component and more distinct values than
+    components.  With as many components as distinct values, each component
+    can collapse onto one value and the likelihood is unbounded (McLachlan &
+    Peel 2000, Finite Mixture Models, sec. 3.8)."""
+    x = np.asarray(data, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("EM input contains non-finite values")
+    if n_components < 1:
+        raise ValidationError("n_components must be at least 1")
+    distinct = np.unique(x).size
+    if distinct <= n_components:
+        raise ValidationError(
+            f"EM needs more distinct values than components, got {distinct} <= {n_components}"
+        )
+    return x
 
 
 def _block_init(x_sorted: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,13 +334,7 @@ def _from_logits(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.
     return w / w.sum(), theta[m - 1 : 2 * m - 1], sg
 
 
-def em_fit(
-    data,
-    n_components: int,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-) -> tuple[GaussianMixture, FitReport]:
+def em_fit(data, n_components: int) -> tuple[GaussianMixture, FitReport]:
     """Fit a univariate Gaussian mixture by EM with SQUAREM and Newton steps.
 
     EM runs on the distinct values of the data, each weighted by how often it
@@ -356,21 +350,16 @@ def em_fit(
     scheme of Aitkin & Aitkin (1996, Stat. Comput. 6:127).  It is taken only
     where the Hessian is negative definite, halved up to 8 times, and kept
     only when its log-likelihood is at least the SQUAREM point's, so the
-    trace never decreases.
+    trace never decreases.  The stop rule is fixed (_LL_TOL, _PARAM_TOL and
+    _MAX_CYCLES); a fit that reaches the cycle cap is flagged unconverged.
 
     Parameters
     ----------
     data : array_like
-        One-dimensional observations, strictly more than n_components.
+        One-dimensional finite observations with more distinct values than
+        n_components.
     n_components : int
         Number of mixture components, at least 1.
-    tol : float
-        Relative log-likelihood change per cycle below which EM may stop; it
-        stops only when, in the same cycle, no weight, mean or sigma moved by
-        more than 1e-8.  Must be nonnegative (not NaN).
-    max_iter : int
-        Cap on cycles (one SQUAREM step and one Newton step each); the fit
-        is flagged unconverged when reached.
 
     Returns
     -------
@@ -379,30 +368,14 @@ def em_fit(
         report, whose iterations count cycles.  The reported
         log-likelihood always belongs to the returned parameters.
     """
-    x = np.asarray(data, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("EM input contains non-finite values")
     m = int(n_components)
-    if m < 1:
-        raise ValidationError("n_components must be at least 1")
-    if x.size <= m:
-        raise ValidationError(
-            f"EM needs more observations than components, got {x.size} <= {m}"
-        )
-    if not tol >= 0:  # also rejects NaN
-        raise ValidationError(f"tol must be nonnegative, got {tol!r}")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
-
-    x_sorted = np.sort(x)
+    x_sorted = np.sort(check_component_count(data, m))
     atoms, counts = np.unique(x_sorted, return_counts=True)
     counts = counts.astype(float)
 
     def e_step(params):
         """Log-likelihood and count-weighted responsibilities at params."""
-        w, mu, sg = params
-        z = (atoms[:, None] - mu) / sg
-        logc = np.log(w) - np.log(sg) - 0.5 * _LOG_2PI - 0.5 * z * z
+        logc = _log_components(atoms, *params)
         mx = logc.max(axis=1, keepdims=True)
         lognorm = mx[:, 0] + np.log(np.exp(logc - mx).sum(axis=1))
         return float(counts @ lognorm), np.exp(logc - lognorm[:, None]) * counts[:, None]
@@ -417,7 +390,7 @@ def em_fit(
     ll, resp = e_step(params)
     trace = [ll]
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_CYCLES + 1):
         p1 = m_step(resp)
         p2 = m_step(e_step(p1)[1])
         best = (p2, *e_step(p2))
@@ -448,7 +421,7 @@ def em_fit(
         moved = max(float(np.abs(new - old).max()) for new, old in zip(best[0], params))
         params, new_ll, resp = best
         trace.append(new_ll)
-        converged = abs(new_ll - ll) <= tol * abs(new_ll) and moved <= _PARAM_TOL
+        converged = abs(new_ll - ll) <= _LL_TOL * abs(new_ll) and moved <= _PARAM_TOL
         ll = new_ll
         if converged:
             break
@@ -456,12 +429,14 @@ def em_fit(
     w, mu, sg = params
     order = np.argsort(mu, kind="stable")
     model = GaussianMixture(weights=w[order], means=mu[order], sigmas=sg[order])
-    p = gmm_parameter_count(m)
+    # free parameters: a weight, mean and sigma per component, less the one
+    # weight that normalization fixes
+    p = 3 * m - 1
     report = FitReport(
         n_components=m,
         log_likelihood=ll,
-        aic=aic(ll, p),
-        bic=bic(ll, p, x_sorted.size),
+        aic=2.0 * p - 2.0 * ll,
+        bic=p * float(np.log(x_sorted.size)) - 2.0 * ll,
         iterations=iterations,
         converged=converged,
         log_likelihood_trace=tuple(trace),
@@ -472,11 +447,14 @@ def em_fit(
 def select_component_count(data, *, m_max: int = 4) -> ComponentSelection:
     """Fit mixtures for 1..m_max components and compare information criteria.
 
-    The returned best_m minimizes BIC; when AIC prefers a different count the
-    selection is flagged via criteria_agree=False so a caller can decide.
+    The returned bic_best_m minimizes BIC; when AIC prefers a different
+    count the selection is flagged via criteria_agree=False so a caller can
+    decide.  An m_max not below the number of distinct values is rejected
+    before any fit.
     """
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
+    check_component_count(data, m_max)
     return ComponentSelection.from_reports(
         [em_fit(data, m)[1] for m in range(1, m_max + 1)]
     )

@@ -21,11 +21,6 @@ from emprob.tree import TreeNode
 CATEGORY_NAMES = tuple(c.name for c in ProbabilityCategory)
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit decimal rendering; round-trips any float64."""
-    return format(float(x), ".17g")
-
-
 def export_cxt(context: FormalContext, path: str | Path) -> None:
     """Write a formal context in Burmeister format.
 
@@ -126,7 +121,6 @@ def export_scores_csv(table: ScoreTable, path: str | Path) -> None:
     cells[:, ::2] = np.where(table.case_set.matrix, np.uint8(ord("1")), np.uint8(ord("0")))
     indicators = cells.tobytes().decode("ascii")
     scores = np.column_stack([getattr(table, field) for _, field in COLUMNS]).tolist()
-    # %.17g renders a float as format_float does
     row = "%d,%s" + ",".join(["%.17g"] * len(COLUMNS)) + ",%s\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
@@ -148,10 +142,11 @@ def export_density_samples_csv(gmm, kde, path: str | Path) -> None:
     curves.append(("kde_pdf", kde.pdf(xs)))
     scores = (gmm.cdf(xs), kde.cdf(xs), gmm.posterior(xs, ill_component(gmm)))
     curves.extend(zip((column for column, _ in COLUMNS[-len(scores):]), scores))
-    lines = [",".join(["x"] + [name for name, _ in curves])]
-    for i, x in enumerate(xs):
-        lines.append(",".join([format_float(x)] + [format_float(col[i]) for _, col in curves]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.column_stack([xs, *(col for _, col in curves)]).tolist()
+    row = ",".join(["%.17g"] * (len(curves) + 1)) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(["x"] + [name for name, _ in curves]) + "\n")
+        f.writelines(row % tuple(values) for values in rows)
 
 
 def export_supports_csv(context: FormalContext, path: str | Path) -> None:

@@ -35,6 +35,7 @@ from emprob.density import (
     GaussianMixture,
     KernelDensityEstimate,
     SILVERMAN_CONVENTIONS,
+    check_component_count,
     em_fit,
 )
 from emprob.fca import ConceptLattice, build_band_context, build_lattice
@@ -52,7 +53,13 @@ from emprob.schema import (
     read_json_mapping,
     validate_weights,
 )
-from emprob.scoring import APPROACHES, ScoreTable, elicit_probabilities, validate_thresholds
+from emprob.scoring import (
+    APPROACHES,
+    DEFAULT_THRESHOLDS,
+    ScoreTable,
+    elicit_probabilities,
+    validate_thresholds,
+)
 from emprob.tree import TreeNode, fit_decision_tree, prune_tree
 
 DEFAULT_BANDS = tuple((i / 10, (i + 1) / 10) for i in range(10))
@@ -70,7 +77,7 @@ class PipelineConfig:
     weights_path: str | None = None
     n_components: int | None = 2
     m_max: int = 4
-    thresholds: tuple[float, float] = (0.33, 0.68)
+    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
     bands: tuple[tuple[float, float], ...] = DEFAULT_BANDS
     band_approach: int = 1
     prune_alpha: float = 0.01
@@ -168,6 +175,7 @@ class PipelineResult:
 
     @cached_property
     def selection(self) -> ComponentSelection:
+        check_component_count(self.sum_table.normalized, self.config.m_max)
         return ComponentSelection.from_reports(
             [self.mixture(m)[1] for m in range(1, self.config.m_max + 1)]
         )
@@ -177,7 +185,7 @@ class PipelineResult:
         """The fit of the config's mixture size, or of the selection's best
         when the config leaves it unset."""
         m = self.config.n_components
-        return self.mixture(self.selection.best_m if m is None else m)[1]
+        return self.mixture(self.selection.bic_best_m if m is None else m)[1]
 
     @property
     def gmm(self) -> GaussianMixture:

@@ -1,7 +1,7 @@
 """Reference data shared by the test modules: the unmerged 22-answer schema,
 the reference two-component mixture, formal contexts for the FCA tests, and
-oracles kept apart from the code they check: readers for the files the
-exporters write, a row-by-row scores writer, derivation by position on a
+oracles kept apart from the code they check: a mixture's log-likelihood
+summed from its pdf, readers for the files the exporters write, a row-by-row scores writer, derivation by position on a
 context's incidence, and a per-node tree grower, a root-to-leaf predictor
 and a round-based pruner.
 
@@ -115,6 +115,11 @@ REFERENCE_GMM = GaussianMixture(
     means=(0.359548, 0.572878),
     sigmas=(0.128782, 0.156241),
 )
+
+
+def log_likelihood(model, x):
+    """The sample log-likelihood of a mixture, summed from its pdf."""
+    return float(np.log(model.pdf(x)).sum())
 
 
 def random_context(rng, max_side=8):

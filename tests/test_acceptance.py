@@ -38,6 +38,7 @@ from reference_data import (
     SCORE_FIELDS,
     extent,
     intent,
+    log_likelihood,
     random_context,
     read_cxt,
     read_scores_csv,
@@ -89,10 +90,6 @@ def criterion(n, description):
         _emit(f"criterion {n:2d}: FAIL - {description}")
         raise
     _emit(f"criterion {n:2d}: PASS - {description}")
-
-
-def log_likelihood(model, x):
-    return float(np.log(model.pdf(x)).sum())
 
 
 @pytest.fixture(scope="module")

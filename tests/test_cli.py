@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -336,19 +337,37 @@ def test_missing_questionnaire_exit_1_without_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--weights", "zero_weights.csv", "--output-dir", "out", "report"], "cannot normalize"),
-    (["--n-components", "2000", "--output-dir", "out", "fit"],
-     "EM needs more observations than components"),
-], ids=["all-zero-weights", "too-many-components"])
-def test_rejected_inputs_leave_no_output_dir(tmp_path, monkeypatch, capsys, flags, message):
-    """Inputs that load but fail a later stage leave no directory either."""
+DEGENERATE = "EM needs more distinct values than components, got 364 <= "
+
+
+@pytest.mark.parametrize("flags, message, fits", [
+    (["--weights", "zero_weights.csv", "--output-dir", "out", "report"], "cannot normalize", []),
+    (["--n-components", "2000", "--output-dir", "out", "fit"], DEGENERATE + "2000",
+     [1, 2, 3, 4, 2000]),  # fit reads the selection before the chosen mixture
+    (["--n-components", "400", "--output-dir", "out", "score-patient",
+      "a_2_q1,a_3_q2,a_1_q3,a_1_q4,a_2_q5,a_1_q6"], DEGENERATE + "400", [400]),
+    (["--m-max", "364", "--output-dir", "out", "fit"], DEGENERATE + "364", []),
+    (["--config", "huge.json", "--output-dir", "out", "fit"], DEGENERATE + str(10**30), []),
+], ids=["all-zero-weights", "too-many-components", "n-components-400", "m-max-364",
+        "m-max-1e30"])
+def test_rejected_inputs_leave_no_output_dir(
+    tmp_path, monkeypatch, capsys, stage_calls, flags, message, fits
+):
+    """Inputs that load but fail a later stage leave no directory either.
+    The shipped sums take 364 distinct values, and a mixture of 364 or more
+    components has an unbounded likelihood: em_fit rejects such a count
+    before its first cycle, and a selection up to it is rejected before its
+    first fit, so each run ends within seconds."""
     monkeypatch.chdir(tmp_path)
     header, body = SHIPPED_WEIGHTS.split("\n", 1)
     zeros = [row.split(",")[0] + ",0" * row.count(",") for row in body.split()]
     Path("zero_weights.csv").write_text("\n".join([header, *zeros]) + "\n")
+    Path("huge.json").write_text(json.dumps({"m_max": 10**30}))
+    start = time.perf_counter()
     assert main(flags) == 2
-    assert message in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
+    assert f"error: {message}" in capsys.readouterr().err
+    assert stage_calls["em_fit"] == fits
     assert not Path("out").exists()
 
 

@@ -479,7 +479,7 @@ def test_prepare_category_matches_thresholds(result):
 def test_prepare_auto_component_count():
     cfg = PipelineConfig.from_mapping({**CHEAP, "n_components": None, "m_max": 2})
     res = prepare(cfg)
-    assert res.gmm.n_components == res.selection.best_m
+    assert res.gmm.n_components == res.selection.bic_best_m
 
 
 def test_fit_report_document(result):

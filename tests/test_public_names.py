@@ -3,6 +3,7 @@ exported name has a caller outside the tests, and every name the demos
 import from it exists.  The demos are read, and each one is also run."""
 
 import ast
+import hashlib
 import importlib
 import os
 import shutil
@@ -16,6 +17,14 @@ import emprob
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# SHA-256 of each demo's stdout, with the directory it runs in as "<dir>"
+DEMO_STDOUT_SHA256 = {
+    "01_scoring_walkthrough.py": "4c245aaae85dd42a245a38bfb58179e5f2a5c351cc01b1e500b449bc69f925b7",
+    "02_density_fit.py": "f999589bbd7f3b881363c67c5a21105c9da6e2e148a56c75715e0e4e3a70838c",
+    "03_decision_tree.py": "95116e94971f2bed8d744110a8c8117f5672ce6a4a4467684a1e3f78accccd79",
+    "04_concept_lattice.py": "546c7f976176b325a02da4a482f8922bab608e30be6f6b015d7342c077a5bbea",
+    "05_single_patient.py": "5c94ebd27459787bd4f856386e29b6fd044b56834e0a82cfab1f2401391b2ecc",
+}
 
 
 def test_every_exported_name_resolves():
@@ -84,7 +93,8 @@ def test_demo_imports_resolve(demo):
 def test_demo_runs(tmp_path, demo):
     """Run a copy of the demo in a child interpreter against the emprob
     package this suite imported; a demo that writes files writes them
-    beside the copy, not into the source tree."""
+    beside the copy, not into the source tree.  Its output must stay the
+    same, byte for byte."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(emprob.__file__).parents[1]), env.get("PYTHONPATH")])
@@ -94,3 +104,5 @@ def test_demo_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(copy)], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
+    stdout = proc.stdout.replace(str(tmp_path), "<dir>")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.name], stdout
