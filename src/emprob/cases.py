@@ -13,7 +13,6 @@ symptom subsets in binary-counting order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -45,13 +44,8 @@ def _digits(case: CaseVector, questionnaire: Questionnaire) -> list[int]:
     return digits
 
 
-def validate_case(case: CaseVector, questionnaire: Questionnaire) -> None:
-    """Raise ValidationError unless the case is admissible."""
-    _digits(case, questionnaire)
-
-
 def canonical_index(case: CaseVector, questionnaire: Questionnaire) -> int:
-    """Mixed-radix rank of the case in canonical enumeration order."""
+    """Mixed-radix rank of the case in canonical order; ValidationError unless admissible."""
     idx = 0
     for q, d in zip(questionnaire.questions, _digits(case, questionnaire)):
         idx = idx * q.combination_count() + d
@@ -79,9 +73,6 @@ class CaseSet:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-    def __iter__(self) -> Iterator[CaseVector]:
-        return (self.case(i) for i in range(len(self)))
 
     def case(self, index: int) -> CaseVector:
         """The case at a canonical index; the inverse of canonical_index."""

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from emprob.cases import CaseVector, validate_case
+from emprob.cases import CaseVector, canonical_index
 from emprob.pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -92,7 +92,7 @@ def _print_patient(result: PipelineResult, args: argparse.Namespace) -> None:
     if not ids:
         raise ValidationError("no answer ids given")
     case = CaseVector(true_answers=frozenset(ids))
-    validate_case(case, result.questionnaire)  # before any model is fitted
+    canonical_index(case, result.questionnaire)  # validates before any model is fitted
     print(json.dumps(score_patient(case, result.table), indent=2, sort_keys=True))
 
 

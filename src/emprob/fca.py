@@ -58,14 +58,6 @@ class FormalContext:
         return len(self.attributes)
 
 
-@dataclass(frozen=True)
-class Concept:
-    """A maximal (extent, intent) pair; indices into the context's lists."""
-
-    extent: tuple[int, ...]
-    intent: tuple[int, ...]
-
-
 def _pack(rows: np.ndarray, bitorder: str = "little", size: int = 1) -> np.ndarray:
     """Each bool row packed into bytes, padded to whole blocks of ``size``
     bytes and at least one; with bitorder "little" column 8 j + k is bit k
@@ -151,12 +143,10 @@ def _indices(rows: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(pos[s:e]) for s, e in zip([0] + ends, ends)]
 
 
-def enumerate_concepts(context: FormalContext) -> tuple[Concept, ...]:
-    """All formal concepts in lectic order of their intents.
-
-    The first concept has full extent (the lattice top) and the last has
-    full intent (the bottom).
-    """
+def enumerate_concepts(context: FormalContext) -> tuple[tuple[tuple, tuple], ...]:
+    """All formal concepts, (extent, intent) pairs of ascending index
+    tuples, in lectic order of their intents: the first has full extent
+    (the lattice top) and the last full intent (the bottom)."""
     return build_lattice(context).concepts
 
 
@@ -168,8 +158,8 @@ class ConceptLattice:
     concept k, in lectic order of the intents, so concept 0 is the top and
     the last is the bottom.  ``covers`` (E x 2) holds the (lower, upper)
     index pairs, sorted: the lower concept's extent is contained in the
-    upper's, with no concept strictly between.  ``concepts`` and ``edges``
-    are the same as tuples, built on first use.
+    upper's, with no concept strictly between.  ``concepts`` ((extent,
+    intent) pairs) and ``edges`` are the same as tuples, built on first use.
     """
 
     context: FormalContext
@@ -181,17 +171,9 @@ class ConceptLattice:
         for a in (self.intents, self.extents, self.covers):
             a.setflags(write=False)
 
-    @property
-    def top(self) -> int:
-        return 0
-
-    @property
-    def bottom(self) -> int:
-        return len(self.intents) - 1
-
     @cached_property
-    def concepts(self) -> tuple[Concept, ...]:
-        return tuple(map(Concept, _indices(self.extents), _indices(self.intents)))
+    def concepts(self) -> tuple[tuple[tuple, tuple], ...]:
+        return tuple(zip(_indices(self.extents), _indices(self.intents)))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

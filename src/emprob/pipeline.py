@@ -260,7 +260,9 @@ def _report_entry(rep: FitReport) -> dict:
 
 def fit_report_document(result: PipelineResult) -> dict:
     """The fit report as a plain JSON-serializable mapping."""
-    sel = result.selection
+    # both component counts are checked before the first fit runs
+    check_component_count(result.sum_table.normalized, result.config.m_max)
+    gmm, sel = result.gmm, result.selection
     return {
         "n_observations": len(result.sum_table),
         "normalization": {
@@ -274,11 +276,11 @@ def fit_report_document(result: PipelineResult) -> dict:
             "criteria_agree": sel.criteria_agree,
             "candidates": [_report_entry(r) for r in sel.reports],
         },
-        "selected_components": result.gmm.n_components,
+        "selected_components": gmm.n_components,
         "gmm": {
-            "weights": [float(v) for v in result.gmm.weights],
-            "means": [float(v) for v in result.gmm.means],
-            "sigmas": [float(v) for v in result.gmm.sigmas],
+            "weights": [float(v) for v in gmm.weights],
+            "means": [float(v) for v in gmm.means],
+            "sigmas": [float(v) for v in gmm.sigmas],
             **_report_entry(result.gmm_report),
         },
         "kde": {

@@ -42,7 +42,6 @@ class AnswerOption:
 
     id: str
     label: str
-    question_id: str
 
     def __post_init__(self) -> None:
         # ids become CSV cells, supports keys ("a;b") and CXT lines
@@ -66,12 +65,6 @@ class Question:
         ids = [a.id for a in self.answers]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"question {self.id!r}: duplicate answer ids")
-        for a in self.answers:
-            if a.question_id != self.id:
-                raise ValidationError(
-                    f"answer {a.id!r} claims question {a.question_id!r}, "
-                    f"listed under {self.id!r}"
-                )
         if self.mode is QuestionMode.MULTI_SELECT_WITH_EXCLUSIVE_NONE:
             if self.none_answer_id is None:
                 raise ValidationError(
@@ -165,12 +158,6 @@ class Questionnaire:
                 return q
         raise KeyError(answer_id)
 
-    def case_count(self) -> int:
-        n = 1
-        for q in self.questions:
-            n *= q.combination_count()
-        return n
-
 
 @dataclass(frozen=True)
 class WeightMatrix:
@@ -253,12 +240,20 @@ def _list(doc: Mapping, key: str, where: str = "questionnaire") -> list:
     return list(value)
 
 
+def _string(raw: Mapping, key: str, where: str, default: str | None = None) -> str:
+    """The string at ``key``, or ``default`` if given when the key is missing."""
+    value = raw.get(key, default)
+    if value is None and key not in raw:
+        raise ValidationError(f"{where} missing field {key!r}")
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _parse_answer(raw: Mapping, question_id: str) -> AnswerOption:
-    raw = _mapping(raw, f"answer in question {question_id!r}")
-    try:
-        return AnswerOption(id=str(raw["id"]), label=str(raw["label"]), question_id=question_id)
-    except KeyError as e:
-        raise ValidationError(f"answer in question {question_id!r} missing field {e}") from None
+    where = f"answer in question {question_id!r}"
+    raw = _mapping(raw, where)
+    return AnswerOption(id=_string(raw, "id", where), label=_string(raw, "label", where))
 
 
 def _source_question(questionnaire: Questionnaire, sources: tuple[str, ...]) -> Question:
@@ -279,7 +274,9 @@ def parse_merge_rule(doc: Mapping, questionnaire: Questionnaire) -> MergeRule:
     for key in ("source_answer_ids", "merged_answer"):
         if key not in doc:
             raise ValidationError(f"merge rule missing field {key!r}")
-    sources = tuple(str(s) for s in _list(doc, "source_answer_ids", "merge rule"))
+    sources = tuple(_list(doc, "source_answer_ids", "merge rule"))
+    if not all(isinstance(s, str) for s in sources):
+        raise ValidationError(f"merge rule: source answer ids must be strings, got {sources!r}")
     question = _source_question(questionnaire, sources)
     return MergeRule(sources, _parse_answer(doc["merged_answer"], question.id))
 
@@ -294,11 +291,6 @@ def _merge_questions(questionnaire: Questionnaire, rule: MergeRule) -> Questionn
         raise ValidationError("cannot merge away the none-answer of a question")
     if merged.id in set(questionnaire.answer_ids) - set(sources):
         raise ValidationError(f"merged answer id {merged.id!r} collides with an existing answer")
-    if merged.question_id != question.id:
-        raise ValidationError(
-            f"merged answer {merged.id!r} assigned to question "
-            f"{merged.question_id!r}, sources belong to {question.id!r}"
-        )
     first = min(map([a.id for a in question.answers].index, sources))
     kept = [a for a in question.answers if a.id not in sources]
     answers = (*kept[:first], merged, *kept[first:])
@@ -324,20 +316,19 @@ def load_questionnaire(source: Mapping | str | Path) -> Questionnaire:
     questions = []
     for raw_q in _list(doc, "questions"):
         raw_q = _mapping(raw_q, "question")
-        try:
-            mode = QuestionMode(str(raw_q.get("mode", "exclusive")))
-        except ValueError:
-            raise ValidationError(
-                f"question {raw_q.get('id')!r}: unknown mode {raw_q.get('mode')!r}"
-            ) from None
-        qid = str(raw_q.get("id", ""))
+        qid = _string(raw_q, "id", "question", "")
         if not qid:
             raise ValidationError("question without id")
+        mode_name = _string(raw_q, "mode", f"question {qid!r}", "exclusive")
+        try:
+            mode = QuestionMode(mode_name)
+        except ValueError:
+            raise ValidationError(f"question {qid!r}: unknown mode {mode_name!r}") from None
         answers = tuple(_parse_answer(a, qid) for a in _list(raw_q, "answers", f"question {qid}"))
         questions.append(
             Question(
                 id=qid,
-                label=str(raw_q.get("label", "")),
+                label=_string(raw_q, "label", f"question {qid!r}", ""),
                 mode=mode,
                 answers=answers,
                 none_answer_id=raw_q.get("none_answer_id"),

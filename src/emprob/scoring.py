@@ -158,8 +158,10 @@ def score_patient(case: CaseVector | Iterable[str], table: ScoreTable) -> dict[s
 
     The table holds every case of its questionnaire, so the case is
     validated and its row found at ``canonical_index``; the category is the
-    table's, under the table's thresholds.
+    table's, under the table's thresholds.  A bare string is no case.
     """
+    if isinstance(case, str):
+        raise ValidationError(f"a case is a collection of answer ids, got the string {case!r}")
     if not isinstance(case, CaseVector):
         case = CaseVector(true_answers=frozenset(case))
     i = canonical_index(case, table.case_set.questionnaire)

@@ -34,32 +34,27 @@ _REL = 1e-12
 
 @dataclass
 class TreeNode:
-    """One node; a leaf when split_answer_index is None."""
+    """Label counts and depth; a split node also has the answer it tests and
+    the children where that answer is present (true) and absent (false)."""
 
     counts: tuple[int, ...]
-    prediction: int
-    impurity: float
     depth: int
-    split_answer_index: int | None = None
     split_answer_id: str | None = None
-    gain: float | None = None
     true_child: "TreeNode | None" = None
     false_child: "TreeNode | None" = None
 
     @property
+    def prediction(self) -> int:
+        """The first maximum of the counts: the lowest category on ties."""
+        return self.counts.index(max(self.counts))
+
+    @property
     def is_leaf(self) -> bool:
-        return self.split_answer_index is None
+        return self.true_child is None
 
     @property
     def n_samples(self) -> int:
         return sum(self.counts)
-
-
-def _node(counts: list[int], depth: int) -> TreeNode:
-    n = sum(counts)
-    impurity = 1.0 - sum((c / n) ** 2 for c in counts)
-    # the first maximum, the lowest category on ties, is the prediction
-    return TreeNode(tuple(counts), counts.index(max(counts)), impurity, depth)
 
 
 def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:
@@ -88,7 +83,7 @@ def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:
 
     n_answers = len(answer_ids)
     labels = labels.astype(np.intp)
-    root = _node(np.bincount(labels, minlength=_N_LABELS).tolist(), 0)
+    root = TreeNode(tuple(np.bincount(labels, minlength=_N_LABELS).tolist()), 0)
     # the open nodes of one depth, each case's node as a position in it (-1
     # once closed), the cases still open, and the answers those cases have
     frontier = [root] if n_answers and max(root.counts) < root.n_samples else []
@@ -135,11 +130,8 @@ def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:
             split.tolist(), best[split].tolist(), children.tolist(), is_open[split].tolist()
         ):
             node = frontier[k]
-            t, f = _node(t_counts, node.depth + 1), _node(f_counts, node.depth + 1)
-            node.split_answer_index, node.split_answer_id = j, answer_ids[j]
-            node.true_child, node.false_child = t, f
-            weighted = t.n_samples * t.impurity + f.n_samples * f.impurity
-            node.gain = node.impurity - weighted / node.n_samples
+            t, f = (TreeNode(tuple(c), node.depth + 1) for c in (t_counts, f_counts))
+            node.split_answer_id, node.true_child, node.false_child = answer_ids[j], t, f
             next_frontier += [t] * t_open + [f] * f_open
         # each case of a split node moves to its child's place in the next
         # frontier, true child first
@@ -160,8 +152,7 @@ def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
         node = stack.pop()
         yield node
         if not node.is_leaf:
-            stack.append(node.false_child)  # type: ignore[arg-type]
-            stack.append(node.true_child)  # type: ignore[arg-type]
+            stack += [node.false_child, node.true_child]
 
 
 def leaf_count(root: TreeNode) -> int:
@@ -208,7 +199,7 @@ def prune_tree(root: TreeNode, alpha: float) -> TreeNode:
 
     def copy(node: TreeNode) -> TreeNode:
         if node.is_leaf or id(node) in collapsed:
-            return TreeNode(node.counts, node.prediction, node.impurity, node.depth)
+            return TreeNode(node.counts, node.depth)
         return replace(node, true_child=copy(node.true_child), false_child=copy(node.false_child))
 
     cost(root)

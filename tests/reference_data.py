@@ -216,20 +216,24 @@ def names(labels, positions):
     return tuple(labels[i] for i in positions)
 
 
-def predict(root, row):
-    """The category a tree gives one answer-indicator row."""
+def predict(root, row, answer_ids):
+    """The category a tree gives one answer-indicator row, whose columns
+    ``answer_ids`` name."""
     node = root
     while not node.is_leaf:
-        node = node.true_child if row[node.split_answer_index] else node.false_child
+        present = row[answer_ids.index(node.split_answer_id)]
+        node = node.true_child if present else node.false_child
     return node.prediction
 
 
-def _gini(counts):
+def gini(counts):
+    """The Gini impurity of a node's label counts."""
     n = sum(counts)
     return 1.0 - sum((c / n) ** 2 for c in counts)
 
 
-def _majority(counts):
+def majority(counts):
+    """The first category with the most cases."""
     best = 0
     for k, c in enumerate(counts):
         if c > counts[best]:
@@ -247,8 +251,7 @@ def reference_tree(matrix, labels, answer_ids):
 
     def grow(idx, depth):
         node_counts = tuple(int(c) for c in np.bincount(labels[idx], minlength=3))
-        node = TreeNode(counts=node_counts, prediction=_majority(node_counts),
-                        impurity=_gini(node_counts), depth=depth)
+        node = TreeNode(counts=node_counts, depth=depth)
         n = int(idx.size)
         if max(node_counts) == n:
             return node
@@ -269,12 +272,9 @@ def reference_tree(matrix, labels, answer_ids):
             return node
         col = matrix[idx, best_j]
         true_idx, false_idx = idx[col], idx[~col]
-        node.split_answer_index, node.split_answer_id = best_j, answer_ids[best_j]
+        node.split_answer_id = answer_ids[best_j]
         node.true_child = grow(true_idx, depth + 1)
         node.false_child = grow(false_idx, depth + 1)
-        node.gain = node.impurity - (
-            true_idx.size * node.true_child.impurity + false_idx.size * node.false_child.impurity
-        ) / n
         return node
 
     return grow(np.arange(matrix.shape[0]), 0)
@@ -317,6 +317,6 @@ def reference_prune(root, alpha):
             break
         for node, g in links:
             if g == g_min:
-                node.split_answer_index = node.split_answer_id = node.gain = None
+                node.split_answer_id = None
                 node.true_child = node.false_child = None
     return root

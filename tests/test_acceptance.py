@@ -299,7 +299,7 @@ def test_criterion_10_property_suite(gmm, fitted_gmm, kde, sum_table,
         contexts = [random_context(rng, max_side=8) for _ in range(50)]
         for ctx in contexts:
             concepts = enumerate_concepts(ctx)
-            got = {(c.extent, c.intent) for c in concepts}
+            got = set(concepts)
             assert len(got) == len(concepts)
             assert got == brute_force_concepts(ctx)
             subset = tuple(o for o in range(ctx.n_objects) if rng.random() < 0.5)

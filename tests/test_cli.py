@@ -1,6 +1,9 @@
+import copy
 import csv
 import dataclasses
+import functools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -272,12 +275,45 @@ SHIPPED_QUESTIONNAIRE = json.loads(
     (Path(emprob.__file__).parent / "data" / "questionnaire.json").read_text()
 )
 MERGE_WITHOUT_ID = {"source_answer_ids": ["a_3_q1", "a_4_q1"], "merged_answer": {"label": "x"}}
+MERGE_RULE = {"source_answer_ids": ["a_3_q1", "a_4_q1"], "merged_answer": {"id": "m", "label": "x"}}
+
+
+def shipped_with(path, value):
+    """The shipped questionnaire plus MERGE_RULE, with the field at ``path``
+    (keys and list positions) set to ``value``."""
+    doc = copy.deepcopy({**SHIPPED_QUESTIONNAIRE, "merge_rules": [MERGE_RULE]})
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, doc)[last] = value
+    return doc
+
+
 MALFORMED_INPUTS = {
     # probe -> (flag, file content)
     "merged-answer-without-id": (
         "--questionnaire", {**SHIPPED_QUESTIONNAIRE, "merge_rules": [MERGE_WITHOUT_ID]}
     ),
     "question-not-a-mapping": ("--questionnaire", {"questions": ["q1"]}),
+    # questionnaire fields are JSON strings, never coerced
+    "question-id-a-list": ("--questionnaire", shipped_with(["questions", 0, "id"], ["q1"])),
+    "question-label-a-number": ("--questionnaire", shipped_with(["questions", 0, "label"], 5)),
+    "question-mode-a-list": (
+        "--questionnaire", shipped_with(["questions", 1, "mode"], ["exclusive"])
+    ),
+    "answer-id-a-number": (
+        "--questionnaire", shipped_with(["questions", 1, "answers", 0, "id"], 7)
+    ),
+    "answer-label-null": (
+        "--questionnaire", shipped_with(["questions", 1, "answers", 0, "label"], None)
+    ),
+    "merged-answer-id-a-list": (
+        "--questionnaire", shipped_with(["merge_rules", 0, "merged_answer", "id"], ["m"])
+    ),
+    "merged-answer-label-a-number": (
+        "--questionnaire", shipped_with(["merge_rules", 0, "merged_answer", "label"], 1)
+    ),
+    "merge-source-a-number": (
+        "--questionnaire", shipped_with(["merge_rules", 0, "source_answer_ids", 1], 4)
+    ),
     "questions-not-a-list": ("--questionnaire", {"questions": 5}),
     "thresholds-not-a-pair": ("--config", {"thresholds": 5}),
     "band-with-three-values": ("--config", {"bands": [[0.0, 0.5, 1.0]]}),
@@ -342,8 +378,7 @@ DEGENERATE = "EM needs more distinct values than components, got 364 <= "
 
 @pytest.mark.parametrize("flags, message, fits", [
     (["--weights", "zero_weights.csv", "--output-dir", "out", "report"], "cannot normalize", []),
-    (["--n-components", "2000", "--output-dir", "out", "fit"], DEGENERATE + "2000",
-     [1, 2, 3, 4, 2000]),  # fit reads the selection before the chosen mixture
+    (["--n-components", "2000", "--output-dir", "out", "fit"], DEGENERATE + "2000", [2000]),
     (["--n-components", "400", "--output-dir", "out", "score-patient",
       "a_2_q1,a_3_q2,a_1_q3,a_1_q4,a_2_q5,a_1_q6"], DEGENERATE + "400", [400]),
     (["--m-max", "364", "--output-dir", "out", "fit"], DEGENERATE + "364", []),

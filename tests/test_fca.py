@@ -73,8 +73,8 @@ def test_galois_laws():
 def test_diagonal_concepts():
     concepts = enumerate_concepts(DIAGONAL)
     assert len(concepts) == 4
-    pairs = {(names(DIAGONAL.objects, c.extent), names(DIAGONAL.attributes, c.intent))
-             for c in concepts}
+    pairs = {(names(DIAGONAL.objects, objs), names(DIAGONAL.attributes, attrs))
+             for objs, attrs in concepts}
     assert pairs == {
         (("o1", "o2"), ()),
         (("o1",), ("y1",)),
@@ -91,8 +91,7 @@ def test_full_incidence_single_concept():
     )
     concepts = enumerate_concepts(ctx)
     assert len(concepts) == 1
-    assert concepts[0].extent == (0, 1, 2)
-    assert concepts[0].intent == (0, 1)
+    assert concepts[0] == ((0, 1, 2), (0, 1))
 
 
 def test_enumeration_order_endpoints():
@@ -100,8 +99,8 @@ def test_enumeration_order_endpoints():
     for _ in range(10):
         ctx = random_context(rng, max_side=6)
         concepts = enumerate_concepts(ctx)
-        assert concepts[0].extent == tuple(range(ctx.n_objects))
-        assert concepts[-1].intent == tuple(range(ctx.n_attributes))
+        assert concepts[0][0] == tuple(range(ctx.n_objects))
+        assert concepts[-1][1] == tuple(range(ctx.n_attributes))
 
 
 def test_lectic_order():
@@ -109,9 +108,9 @@ def test_lectic_order():
     for _ in range(10):
         ctx = random_context(rng, max_side=6)
         concepts = enumerate_concepts(ctx)
-        for a, b in zip(concepts, concepts[1:]):
-            diff = set(a.intent) ^ set(b.intent)
-            assert min(diff) in b.intent  # lectic successor property
+        for (_, a), (_, b) in zip(concepts, concepts[1:]):
+            diff = set(a) ^ set(b)
+            assert min(diff) in b  # lectic successor property
 
 
 def test_concepts_match_brute_force():
@@ -119,7 +118,7 @@ def test_concepts_match_brute_force():
     for _ in range(15):
         ctx = random_context(rng, max_side=6)
         concepts = enumerate_concepts(ctx)
-        got = {(c.extent, c.intent) for c in concepts}
+        got = set(concepts)
         assert got == brute_force_concepts(ctx)
         assert len(concepts) == len(got)  # no duplicates
 
@@ -131,7 +130,7 @@ def test_single_concept_lattice_has_no_edges():
     lattice = build_lattice(ctx)
     assert len(lattice.concepts) == 1
     assert lattice.edges == ()
-    assert lattice.top == lattice.bottom == 0
+    assert lattice.concepts[0] == lattice.concepts[-1] == ((0,), (0,))
 
 
 def test_chain_of_nested_extents():
@@ -149,10 +148,8 @@ def test_diamond_lattice():
     lattice = build_lattice(DIAGONAL)
     assert len(lattice.concepts) == 4
     assert len(lattice.edges) == 4
-    top = lattice.concepts[lattice.top]
-    bottom = lattice.concepts[lattice.bottom]
-    assert top.extent == (0, 1) and top.intent == ()
-    assert bottom.extent == () and bottom.intent == (0, 1)
+    assert lattice.concepts[0] == ((0, 1), ())  # the top
+    assert lattice.concepts[-1] == ((), (0, 1))  # the bottom
 
 
 def test_edges_are_transitive_reduction():
@@ -162,11 +159,11 @@ def test_edges_are_transitive_reduction():
         lattice = build_lattice(ctx)
         concepts = lattice.concepts
         # lectic order: intents compared as bit vectors, attribute 0 first
-        vectors = [tuple(a in c.intent for a in range(ctx.n_attributes)) for c in concepts]
+        vectors = [tuple(a in attrs for a in range(ctx.n_attributes)) for _, attrs in concepts]
         assert vectors == sorted(vectors)
-        assert concepts[lattice.top].extent == tuple(range(ctx.n_objects))
-        assert concepts[lattice.bottom].intent == tuple(range(ctx.n_attributes))
-        extents = [frozenset(c.extent) for c in concepts]
+        assert concepts[0][0] == tuple(range(ctx.n_objects))  # the top
+        assert concepts[-1][1] == tuple(range(ctx.n_attributes))  # the bottom
+        extents = [frozenset(objs) for objs, _ in concepts]
         proper = {
             (i, j)
             for i in range(len(concepts))
@@ -227,7 +224,7 @@ def test_band_context_empty_band(score_table):
         assert ctx.n_objects == 0
         concepts = enumerate_concepts(ctx)
         assert len(concepts) == 1
-        assert concepts[0].intent == tuple(range(ctx.n_attributes))
+        assert concepts[0][1] == tuple(range(ctx.n_attributes))
 
 
 def test_band_context_rejects_bad_bands(score_table):
@@ -266,8 +263,8 @@ def test_identity_context_wider_than_a_word():
     # bottom and is covered by the top
     assert len(lattice.concepts) == 72
     assert len(lattice.edges) == 140
-    assert lattice.concepts[lattice.top].extent == tuple(range(n))
-    assert lattice.concepts[lattice.bottom].intent == tuple(range(n))
+    assert lattice.concepts[0][0] == tuple(range(n))  # the top
+    assert lattice.concepts[-1][1] == tuple(range(n))  # the bottom
 
 
 def test_wide_sparse_contexts_match_the_definition():

@@ -206,9 +206,9 @@ def introduced_by_definition(lattice):
     """Per concept, the attributes in its intent and in no upper cover's intent."""
     inherited = [set() for _ in lattice.concepts]
     for lower, upper in lattice.edges:
-        inherited[lower].update(lattice.concepts[upper].intent)
-    return [[a for a in c.intent if a not in inh]
-            for c, inh in zip(lattice.concepts, inherited)]
+        inherited[lower].update(lattice.concepts[upper][1])
+    return [[a for a in attrs if a not in inh]
+            for (_, attrs), inh in zip(lattice.concepts, inherited)]
 
 
 def test_lattice_dot_labels_match_the_definition():
@@ -217,9 +217,9 @@ def test_lattice_dot_labels_match_the_definition():
     for ctx in contexts + edge_case_contexts():
         lattice = build_lattice(ctx)
         expected = []
-        for c, introduced in zip(lattice.concepts, introduced_by_definition(lattice)):
+        for (objs, _), introduced in zip(lattice.concepts, introduced_by_definition(lattice)):
             names = ", ".join(ctx.attributes[a] for a in introduced)
-            size = f"|extent| = {len(c.extent)}"
+            size = f"|extent| = {len(objs)}"
             expected.append(f"{names}\\n{size}" if names else size)
         labels = re.findall(r'^  c\d+ \[label="(.*)"\];$', lattice_to_dot(lattice), re.M)
         assert labels == expected

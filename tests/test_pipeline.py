@@ -21,6 +21,7 @@ from emprob import (
     build_lattice,
     categorize_array,
     em_fit,
+    enumerate_cases,
     fit_report_document,
     lattice_to_dot,
     load_inputs,
@@ -144,7 +145,7 @@ def test_load_inputs_defaults():
     questionnaire, wm = load_inputs(PipelineConfig())
     assert len(questionnaire.answer_ids) == 19
     assert len(wm.doctors) == 15
-    assert questionnaire.case_count() == 1536
+    assert len(enumerate_cases(questionnaire)) == 1536
 
 
 def test_load_inputs_merge_rule_on_the_shipped_schema(tmp_path):
@@ -160,7 +161,7 @@ def test_load_inputs_merge_rule_on_the_shipped_schema(tmp_path):
         PipelineConfig(questionnaire_path=str(tmp_path / "questionnaire.json")))
     assert len(questionnaire.answer_ids) == 18
     assert "a_34_q1" in questionnaire.answer_ids
-    assert questionnaire.case_count() == 4 * 4 * 3 * 2 * 4 * 2
+    assert len(enumerate_cases(questionnaire)) == 4 * 4 * 3 * 2 * 4 * 2
 
     base_q, base_wm = load_inputs(PipelineConfig())
     joint = base_wm.values[:, base_wm.answer_ids.index("a_3_q1")]

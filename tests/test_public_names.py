@@ -1,8 +1,12 @@
 """Checks of the public names: the package exports what it lists, every
-exported name has a caller outside the tests, and every name the demos
-import from it exists.  The demos are read, and each one is also run."""
+exported name and every public member of an exported class has a caller
+outside the tests, and every name the demos import from it exists.  The
+demos are read, and each one is also run."""
 
 import ast
+import dataclasses
+import enum
+import functools
 import hashlib
 import importlib
 import os
@@ -35,10 +39,19 @@ def test_every_exported_name_resolves():
     assert imported == set(emprob.__all__)
 
 
+def dotted_parts(node):
+    """The parts of a dotted-name string constant (the benchmark names what
+    it wraps as "module.function" strings); none for any other node."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and all(
+        part.isidentifier() for part in node.value.split(".")
+    ):
+        return node.value.split(".")
+    return []
+
+
 def referenced_names(path):
     """Identifiers the file's code loads, reads as attributes or imports, and
-    the parts of its dotted-name strings (the benchmark names what it wraps
-    as "module.function" strings)."""
+    the parts of its dotted-name strings."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
@@ -46,21 +59,56 @@ def referenced_names(path):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and all(
-            part.isidentifier() for part in node.value.split(".")
-        ):
-            yield from node.value.split(".")
+        else:
+            yield from dotted_parts(node)
+
+
+def caller_paths():
+    """The package itself (outside its own export list), the demos and the
+    benchmark."""
+    package = Path(emprob.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    return paths + [*DEMOS, *(ROOT / "bench").glob("*.py")]
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
     """A public name must be used by the package itself (outside the
     definition and the package's own export list), by a demo, or by the
     benchmark; a name only the tests use belongs with the tests."""
-    package = Path(emprob.__file__).parent
-    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    paths += [*DEMOS, *(ROOT / "bench").glob("*.py")]
-    used = {name for path in paths for name in referenced_names(path)}
+    used = {name for path in caller_paths() for name in referenced_names(path)}
     assert sorted(set(emprob.__all__) - used) == []
+
+
+def read_members(path):
+    """Attribute names the file's code reads (an assignment such as
+    ``node.x = ...`` is no read), and the parts of its dotted-name strings."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        else:
+            yield from dotted_parts(node)
+
+
+def public_members(cls):
+    """The public dataclass fields, properties, methods and classmethods a
+    class defines itself; enum members are not counted."""
+    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    names |= {name for name, value in vars(cls).items() if callable(value) or isinstance(
+        value, (property, classmethod, functools.cached_property))}
+    if issubclass(cls, enum.Enum):
+        names -= set(cls.__members__)
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_every_public_member_has_a_reader_outside_the_tests():
+    """Each public field, property and method of an exported class must be
+    read by name where the exported names are used; a member only the tests
+    read belongs with the tests."""
+    read = {name for path in caller_paths() for name in read_members(path)}
+    classes = [getattr(emprob, name) for name in emprob.__all__]
+    unread = [f"{cls.__name__}.{member}" for cls in classes if isinstance(cls, type)
+              for member in public_members(cls) if member not in read]
+    assert sorted(unread) == []
 
 
 def emprob_imports(path):

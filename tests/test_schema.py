@@ -197,16 +197,15 @@ def test_merge_answers_errors(questionnaire, weight_matrix):
     with pytest.raises(ValidationError):
         merge_answers(q, weight_matrix, q.merge_rules[0])  # sources absent from matrix
     malformed = {  # expected message -> (sources, merged answer)
-        "none-answer": (("a_1_q1", "a_3_q1"), AnswerOption("m", "m", "q1")),
-        "collides": (("a_3_q1", "a_4_q1"), AnswerOption("a_2_q1", "m", "q1")),
-        "sources belong to 'q1'": (("a_3_q1", "a_4_q1"), AnswerOption("m", "m", "q2")),
+        "none-answer": (("a_1_q1", "a_3_q1"), AnswerOption("m", "m")),
+        "collides": (("a_3_q1", "a_4_q1"), AnswerOption("a_2_q1", "m")),
     }
     for fault, (sources, merged) in malformed.items():
         with pytest.raises(ValidationError, match=fault):
             merge_answers(questionnaire, weight_matrix, MergeRule(sources, merged))
 
 
-def test_load_questionnaire_chained_merge_rules():
+def test_load_questionnaire_chained_merge_rules(weight_matrix):
     """A rule whose sources are all earlier rules' merged answers resolves
     against the questions as those rules leave them."""
     shipped = json.loads((files("emprob.data") / "questionnaire.json").read_text())
@@ -214,7 +213,10 @@ def test_load_questionnaire_chained_merge_rules():
     assert q.questions == default_questionnaire().questions
     assert [r.source_answer_ids for r in q.merge_rules] == [
         ("a_1_q2", "a_2_q2"), ("a_3_q2", "a_4_q2"), ("m1", "m2")]
-    assert {r.merged_answer.question_id for r in q.merge_rules} == {"q2"}
+    merged, weights = q, weight_matrix
+    for rule in q.merge_rules:
+        merged, weights = merge_answers(merged, weights, rule)
+    assert merged.question_of_answer("m3").id == "q2"
 
 
 def test_merge_answers_questionnaire_structure():

@@ -137,6 +137,12 @@ def test_score_patient_accepts_answer_ids(score_table):
     assert row["answers"] == sorted(MAX_CASE.true_answers)
 
 
+def test_score_patient_rejects_a_bare_string(score_table):
+    # iterating it would read the characters of one answer id as answers
+    with pytest.raises(ValidationError, match="got the string 'a_2_q1'"):
+        score_patient("a_2_q1", score_table)
+
+
 def test_score_patient_rejects_invalid_case(score_table):
     bad = CaseVector(
         frozenset({"a_1_q1", "a_1_q2", "a_1_q3", "a_1_q4", "a_2_q4", "a_1_q5", "a_1_q6"})

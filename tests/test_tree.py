@@ -16,7 +16,14 @@ from emprob import (
     tree_depth,
     tree_to_dot,
 )
-from reference_data import link_strengths, predict, reference_prune, reference_tree
+from reference_data import (
+    gini,
+    link_strengths,
+    majority,
+    predict,
+    reference_prune,
+    reference_tree,
+)
 
 IDS3 = ("f0", "f1", "f2")
 
@@ -30,7 +37,9 @@ def assert_matches_reference(matrix, labels):
     ids = tuple(f"f{j}" for j in range(matrix.shape[1]))
     tree, expected = grow(matrix, labels, ids), reference_tree(matrix, labels, ids)
     assert tree_to_dot(tree) == tree_to_dot(expected)
-    assert tree == expected  # every field, gain floats included
+    assert tree == expected  # every field
+    for node in iter_nodes(tree):
+        assert node.prediction == majority(node.counts)
     return tree, expected
 
 
@@ -75,7 +84,7 @@ def test_single_class_gives_single_leaf():
     assert root.is_leaf
     assert root.prediction == 2
     assert root.counts == (0, 0, 3)
-    assert root.impurity == 0.0
+    assert gini(root.counts) == 0.0
 
 
 def test_perfect_separator_gives_depth_one_tree():
@@ -84,8 +93,8 @@ def test_perfect_separator_gives_depth_one_tree():
     root = grow(matrix, labels)
     assert root.split_answer_id == "f0"
     assert tree_depth(root) == 1
-    assert root.true_child.is_leaf and root.true_child.impurity == 0.0
-    assert root.false_child.is_leaf and root.false_child.impurity == 0.0
+    assert root.true_child.is_leaf and gini(root.true_child.counts) == 0.0
+    assert root.false_child.is_leaf and gini(root.false_child.counts) == 0.0
     assert root.true_child.prediction == 2
     assert root.false_child.prediction == 0
 
@@ -95,7 +104,7 @@ def test_tie_breaks_to_lowest_answer_index():
     matrix = np.array([[1, 1, 0], [1, 1, 1], [0, 0, 0], [0, 0, 1]], dtype=bool)
     labels = np.array([1, 1, 0, 0])
     root = grow(matrix, labels)
-    assert root.split_answer_index == 0
+    assert IDS3.index(root.split_answer_id) == 0
 
 
 def test_label_tie_breaks_to_lowest_category():
@@ -181,9 +190,12 @@ def test_root_gain_is_maximal(case_set, score_table, tree_full):
     for j in range(case_set.matrix.shape[1]):
         child = _weighted_child_gini(case_set.matrix, labels, j)
         gains.append(-np.inf if child is None else parent_gini - child)
-    assert int(np.argmax(gains)) == tree_full.split_answer_index
-    assert tree_full.gain == pytest.approx(max(gains), rel=1e-12)
-    assert tree_full.gain == pytest.approx(0.08480877346462679, rel=1e-12)
+    assert int(np.argmax(gains)) == case_set.answer_ids.index(tree_full.split_answer_id)
+    children = (tree_full.true_child, tree_full.false_child)
+    weighted = sum(c.n_samples * gini(c.counts) for c in children) / tree_full.n_samples
+    gain = gini(tree_full.counts) - weighted
+    assert gain == pytest.approx(max(gains), rel=1e-12)
+    assert gain == pytest.approx(0.08480877346462679, rel=1e-12)
 
 
 def test_counts_partition(tree_full):
@@ -203,7 +215,7 @@ def test_iter_nodes_preorder(tree_full):
 
 def test_predict_reproduces_training_labels(tree_full, case_set, score_table):
     labels = np.asarray(score_table.category, dtype=int)
-    predicted = [predict(tree_full, row) for row in case_set.matrix]
+    predicted = [predict(tree_full, row, case_set.answer_ids) for row in case_set.matrix]
     assert_array_equal(predicted, labels)
 
 
