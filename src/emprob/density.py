@@ -12,7 +12,8 @@ _LL_TOL, _PARAM_TOL and _MAX_CYCLES.  A fit needs more distinct values than
 components (check_component_count).  Model order can be chosen by
 information criteria; the kernel estimate uses a Gaussian kernel with
 Silverman's bandwidth.  Both work on the distinct values of the sample
-weighted by their counts.
+weighted by their counts.  The kernel estimate evaluates its (point, atom)
+grid in blocks of bounded size, the one place that bounds such a grid.
 
 The normal distribution function both models use, ndtr, is a numpy port of
 Cephes ndtr/erf/erfc (Moshier 1989, Methods and Programs for Mathematical
@@ -40,6 +41,10 @@ _PARAM_TOL = 1e-8
 _MAX_CYCLES = 10_000
 # a Newton step that lowers the log-likelihood is halved at most this often
 _NEWTON_HALVINGS = 8
+# saddle-free steps: the gradient norm per observation below which one is
+# taken, and the floor on -H's absolute eigenvalues relative to the largest
+_SADDLE_FREE_GRAD = 0.01
+_SADDLE_FREE_FLOOR = 1e-8
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| < 1; above, erfc(x) =
 # exp(-x^2) P(x) / Q(x) for x < 8 and exp(-x^2) R(x) / S(x) from 8.  The
@@ -63,8 +68,6 @@ _SQRT1_2 = 7.07106781186547524401e-1
 _MAXLOG = 7.09782712893383996843e2
 # the smallest double a with ndtr(a) == 1.0; from there no exp is needed
 _NDTR_ONE = 8.292361075813597
-# elements per pass, so the temporaries stay small next to a large input
-_NDTR_CHUNK = 1 << 14
 
 
 def _polevl(x: np.ndarray, coefs) -> np.ndarray:
@@ -77,17 +80,18 @@ def _polevl(x: np.ndarray, coefs) -> np.ndarray:
     return y
 
 
-def _ndtr_chunk(a: np.ndarray, out: np.ndarray) -> None:
-    """ndtr(a) into out; every mask is taken before out is written, so out
-    may be a itself."""
+def ndtr(a):
+    """Standard normal distribution function, elementwise and bit for bit as
+    Cephes ndtr; a 0-d input gives a scalar."""
+    a = np.asarray(a, dtype=float)
     x = a * _SQRT1_2
     z = np.abs(x)
     inner = z < 1.0
-    # 0.5 erfc(z) needs exp(-z^2) only below _NDTR_ONE and above underflow;
-    # NaN stays in this set and comes out NaN
+    # 0.5 erfc(z) needs exp(-z^2) only below _NDTR_ONE and above underflow
     with np.errstate(over="ignore"):
-        tail = ~inner & ~(a >= _NDTR_ONE) & ~(z * z > _MAXLOG)
-    out[...] = x > 0  # 1.0 from _NDTR_ONE up, 0.0 where exp underflows
+        tail = (z >= 1.0) & (a < _NDTR_ONE) & (z * z <= _MAXLOG)
+    # 1.0 from _NDTR_ONE up, 0.0 where exp underflows, and Cephes' NaN for NaN
+    out = np.where(np.isnan(a), np.nan, x > 0)
     xi = x[inner]
     zi = xi * xi
     out[inner] = 0.5 + 0.5 * (xi * _polevl(zi, _NDTR_T) / _polevl(zi, _NDTR_U))
@@ -103,22 +107,6 @@ def _ndtr_chunk(a: np.ndarray, out: np.ndarray) -> None:
     y *= 0.5
     np.subtract(1.0, y, out=y, where=x[tail] > 0)
     out[tail] = y
-
-
-def ndtr(a, out: np.ndarray | None = None):
-    """Standard normal distribution function, bit for bit as Cephes ndtr.
-
-    Works through the input in fixed-size chunks.  ``out``, if given, is a
-    C-contiguous float64 array of a's shape and may be ``a`` itself.
-    """
-    a = np.asarray(a, dtype=float)
-    if out is None:
-        out = np.empty(a.shape)
-    elif out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float64 array of the input's shape")
-    src, dst = a.reshape(-1), out.reshape(-1)
-    for i in range(0, src.size, _NDTR_CHUNK):
-        _ndtr_chunk(src[i:i + _NDTR_CHUNK], dst[i:i + _NDTR_CHUNK])
     return out if out.ndim else out[()]
 
 
@@ -292,9 +280,11 @@ def _newton_step(atoms, counts, params, resp):
 
     The coordinates are (weight logits against the last component, means, log
     sigmas), with the analytic gradient and Hessian; resp holds the
-    count-weighted responsibilities at params.  Returns the point's
-    coordinates and the step, or None where the Hessian is not negative
-    definite.
+    count-weighted responsibilities at params.  Where -H is not positive
+    definite, near a stationary point, the step is saddle-free (Dauphin et
+    al. 2014, NeurIPS; Nocedal & Wright 2006, Numerical Optimization, 3.4):
+    it solves with the absolute eigenvalues of -H, and its norm is capped
+    at 1.  Returns the point's coordinates and the step, or None.
     """
     w, mu, sg = params
     m = w.size
@@ -321,10 +311,19 @@ def _newton_step(atoms, counts, params, resp):
         return None
     try:
         np.linalg.cholesky(-hess)
+        step = np.linalg.solve(-hess, grad)
     except np.linalg.LinAlgError:
-        return None
+        if np.linalg.norm(grad) > _SADDLE_FREE_GRAD * counts.sum():
+            return None
+        evals, evecs = np.linalg.eigh(-hess)
+        evals = np.abs(evals)
+        evals = np.maximum(evals, _SADDLE_FREE_FLOOR * evals.max())
+        step = evecs @ (evecs.T @ grad / evals)
+        norm = np.linalg.norm(step)
+        if norm > 1.0:
+            step *= 1.0 / norm
     theta = np.concatenate([np.log(lead / w[-1]), mu, np.log(sg)])
-    return theta, np.linalg.solve(-hess, grad)
+    return theta, step
 
 
 def _from_logits(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,11 +346,11 @@ def em_fit(data, n_components: int) -> tuple[GaussianMixture, FitReport]:
     second plain step's.  For two or more components the cycle ends with a
     Newton step on the log-likelihood in (weight logit against the last
     component, mean, log sigma) coordinates, as in the hybrid EM/Newton
-    scheme of Aitkin & Aitkin (1996, Stat. Comput. 6:127).  It is taken only
-    where the Hessian is negative definite, halved up to 8 times, and kept
-    only when its log-likelihood is at least the SQUAREM point's, so the
-    trace never decreases.  The stop rule is fixed (_LL_TOL, _PARAM_TOL and
-    _MAX_CYCLES); a fit that reaches the cycle cap is flagged unconverged.
+    scheme of Aitkin & Aitkin (1996, Stat. Comput. 6:127), saddle-free
+    where the Hessian is not negative definite.  It is halved up to 8 times
+    and kept only when its log-likelihood is at least the SQUAREM point's,
+    so the trace never decreases.  The stop rule is fixed (_LL_TOL,
+    _PARAM_TOL and _MAX_CYCLES); a fit at the cycle cap is unconverged.
 
     Parameters
     ----------
@@ -488,6 +487,10 @@ def silverman_bandwidth(data) -> float:
     return 0.9 * spread * x.size ** (-1.0 / 5.0)
 
 
+# the most (point, atom) entries a kernel estimate evaluates at once
+_GRID_BLOCK = 1 << 14
+
+
 # compared by identity: the sample is an init-only value, not a field
 @dataclass(frozen=True, eq=False)
 class KernelDensityEstimate:
@@ -521,31 +524,34 @@ class KernelDensityEstimate:
     @classmethod
     def from_data(cls, data) -> "KernelDensityEstimate":
         """Build with Silverman's bandwidth."""
-        return cls(data=np.asarray(data, dtype=float).ravel(),
-                   bandwidth=silverman_bandwidth(data))
+        return cls(data, silverman_bandwidth(data))
 
     @property
     def n_points(self) -> int:
         return self._n
 
-    # pdf and cdf work in place in one (point, atom) grid, so that no second
-    # grid of that size is alive at once
-    def pdf(self, x):
-        k = np.asarray(x, dtype=float)[..., None] - self._atoms
-        k /= self.bandwidth
-        with np.errstate(over="ignore"):
-            k *= k
-        k *= -0.5
-        np.exp(k, out=k)
-        k *= self._counts
-        out = k.sum(axis=-1) / self._n / (self.bandwidth * np.sqrt(2.0 * np.pi))
+    def _kernel_mean(self, x, kernel):
+        """(1/n) sum_t count_t kernel((x - x_t) / h) at each point of x, a
+        block of at most _GRID_BLOCK (point, atom) entries at a time; each
+        row sums on its own, so the blocks give the bits of one grid."""
+        x = np.asarray(x, dtype=float)
+        points = x.reshape(-1)
+        out = np.empty(points.size)
+        rows = max(1, _GRID_BLOCK // self._atoms.size)
+        for i in range(0, points.size, rows):
+            k = points[i : i + rows, None] - self._atoms
+            with np.errstate(over="ignore"):  # a far tail's kernel is 0 or 1
+                k /= self.bandwidth
+                k = kernel(k)
+            k *= self._counts
+            out[i : i + rows] = k.sum(axis=-1)
+        out = out.reshape(x.shape) / self._n
         return out if out.ndim else float(out)
+
+    def pdf(self, x):
+        density = self._kernel_mean(x, lambda u: np.exp(u * u * -0.5))
+        return density / (self.bandwidth * np.sqrt(2.0 * np.pi))
 
     def cdf(self, x):
         """Average of kernel CDFs: (1/n) sum Phi((x - x_t) / h)."""
-        k = np.asarray(x, dtype=float)[..., None] - self._atoms
-        k /= self.bandwidth
-        ndtr(k, out=k)
-        k *= self._counts
-        out = k.sum(axis=-1) / self._n
-        return out if out.ndim else float(out)
+        return self._kernel_mean(x, ndtr)

@@ -58,26 +58,19 @@ class FormalContext:
         return len(self.attributes)
 
 
-def _pack(rows: np.ndarray, bitorder: str = "little", size: int = 1) -> np.ndarray:
+def _pack(rows: np.ndarray, size: int = 1) -> np.ndarray:
     """Each bool row packed into bytes, padded to whole blocks of ``size``
-    bytes and at least one; with bitorder "little" column 8 j + k is bit k
-    of byte j."""
+    bytes and at least one; column 8 j + k is bit k of byte j."""
     r, c = rows.shape
     packed = np.zeros((r, size * max(1, -(-c // (8 * size)))), np.uint8)
-    packed[:, : -(-c // 8)] = np.packbits(rows, axis=1, bitorder=bitorder)
+    packed[:, : -(-c // 8)] = np.packbits(rows, axis=1, bitorder="little")
     return packed
 
 
-def _words(rows: np.ndarray, bitorder: str) -> np.ndarray:
-    """Each bool row packed into 64-bit words, shape (rows, words).
-
-    With bitorder "big" column 0 is the top bit of word 0, so comparing the
-    words in order compares the rows as binary numbers with column 0 most
-    significant; with "little" column 64 w + k is bit k of word w.  Every
-    row gets at least one word.
-    """
-    packed = _pack(rows, bitorder, 8)
-    return packed.view(">u8" if bitorder == "big" else "<u8").astype(np.uint64)
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Each bool row packed into 64-bit words, shape (rows, words): column
+    64 w + k is bit k of word w, and every row gets at least one word."""
+    return _pack(rows, 8).view("<u8").astype(np.uint64)
 
 
 def _unpack(words: np.ndarray, count: int) -> np.ndarray:
@@ -208,8 +201,8 @@ def build_lattice(context: FormalContext) -> ConceptLattice:
     """
     inc = context.incidence
     n, m = inc.shape
-    full = _words(np.ones((1, m), dtype=bool), "little")[0]
-    meet, join = _tables(_words(inc, "little"), full)
+    full = _words(np.ones((1, m), dtype=bool))[0]
+    meet, join = _tables(_words(inc), full)
     cols = _pack(inc.T)  # (m, bytes): each answer's extent
     level_ext = _pack(np.ones((1, n), dtype=bool))  # (concepts, bytes)
     level_int = _fold(meet, level_ext, np.bitwise_and)  # (concepts, words)
@@ -256,7 +249,8 @@ def build_lattice(context: FormalContext) -> ConceptLattice:
         keys = np.concatenate([keys, level_int])
         first = n_known
     intents = _unpack(keys, m)
-    order = np.lexsort(_words(intents, "big").T[::-1])
+    # lectic order sorts on column 0 first; with no answers there is one concept
+    order = np.lexsort(intents.T[::-1]) if m else np.arange(len(intents))
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     lower, upper = position[np.concatenate(lowers)], position[np.concatenate(uppers)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from emprob.fca import ConceptLattice, FormalContext
 from emprob.schema import ValidationError
-from emprob.scoring import COLUMNS, ProbabilityCategory, ScoreTable, ill_component
+from emprob.scoring import COLUMNS, ProbabilityCategory, ScoreTable, approach_scores
 from emprob.tree import TreeNode
 
 CATEGORY_NAMES = tuple(c.name for c in ProbabilityCategory)
@@ -134,19 +134,14 @@ def export_density_samples_csv(gmm, kde, path: str | Path) -> None:
     mixture pdf, each weighted component pdf, kernel pdf, and the three score
     curves."""
     xs = np.linspace(0.0, 1.0, 1001)
-    comp = gmm.component_pdfs(xs)
-    curves = [("gmm_pdf", gmm.pdf(xs))]
-    curves.extend(
-        (f"component_{k + 1}_pdf", comp[:, k]) for k in range(gmm.n_components)
-    )
-    curves.append(("kde_pdf", kde.pdf(xs)))
-    scores = (gmm.cdf(xs), kde.cdf(xs), gmm.posterior(xs, ill_component(gmm)))
-    curves.extend(zip((column for column, _ in COLUMNS[-len(scores):]), scores))
-    rows = np.column_stack([xs, *(col for _, col in curves)]).tolist()
-    row = ",".join(["%.17g"] * (len(curves) + 1)) + "\n"
+    scores = approach_scores(gmm, kde, xs)
+    names = ["x", "gmm_pdf", *(f"component_{k + 1}_pdf" for k in range(gmm.n_components)),
+             "kde_pdf", *(column for column, _ in COLUMNS[-len(scores):])]
+    rows = np.column_stack([xs, gmm.pdf(xs), gmm.component_pdfs(xs), kde.pdf(xs), *scores])
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(["x"] + [name for name, _ in curves]) + "\n")
-        f.writelines(row % tuple(values) for values in rows)
+        f.write(",".join(names) + "\n")
+        f.writelines(row % tuple(values) for values in rows.tolist())
 
 
 def export_supports_csv(context: FormalContext, path: str | Path) -> None:

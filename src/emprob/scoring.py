@@ -9,12 +9,14 @@ Three scores are derived from the normalized weight sum x of a case:
 
 Scores map onto LOW / MEDIUM / HIGH categories by two thresholds; the
 table's category column comes from the gmm_cdf score, the consensus default.
-Batch scoring evaluates each distinct normalized sum once and gathers the
-scores back per case.  With quarter-point weights every raw sum is the
-correctly rounded exact value, so cases with equal sums get identical scores.
-The table holds every admissible case, so scoring a single case is a lookup
-of its row at ``canonical_index``.  ``COLUMNS`` names the per-case numbers
-once, for the table, the score files and the single-case row alike.
+``approach_scores`` evaluates the three for the table and the density
+samples alike; the table scores each distinct normalized sum once and
+gathers the scores back per case.  With quarter-point weights every raw sum
+is the correctly rounded exact value, so cases with equal sums get
+identical scores.  The table holds every admissible case, so scoring a
+single case is a lookup of its row at ``canonical_index``.  ``COLUMNS``
+names the per-case numbers once, for the table, the score files and the
+single-case row alike.
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ def ill_component(model: GaussianMixture) -> int:
     return int(np.argmax(model.means))
 
 
+def approach_scores(gmm: GaussianMixture, kde: KernelDensityEstimate, x) -> tuple:
+    """The scores of approaches 1-3 at normalized sums x, in ``COLUMNS``
+    order: mixture cdf, kernel cdf, and the ill component's posterior."""
+    return gmm.cdf(x), kde.cdf(x), gmm.posterior(x, ill_component(gmm))
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Scores for every case of a weight-sum table, rows in canonical order.
@@ -138,17 +146,10 @@ def elicit_probabilities(
     x = table.normalized
     # each distinct sum is scored once and the scores gathered back per case
     atoms, inverse = np.unique(x, return_inverse=True)
-    p1 = gmm.cdf(atoms)[inverse]
-    return ScoreTable(
-        case_set=table.case_set,
-        raw_sums=table.raw_sums,
-        normalized=x,
-        score_gmm_cdf=p1,
-        score_kde_cdf=kde.cdf(atoms)[inverse],
-        score_posterior=gmm.posterior(atoms, ill_component(gmm))[inverse],
-        category=categorize_array(p1, thresholds),
-        thresholds=thresholds,
-    )
+    p1, p2, p3 = (s[inverse] for s in approach_scores(gmm, kde, atoms))
+    return ScoreTable(case_set=table.case_set, raw_sums=table.raw_sums, normalized=x,
+                      score_gmm_cdf=p1, score_kde_cdf=p2, score_posterior=p3,
+                      category=categorize_array(p1, thresholds), thresholds=thresholds)
 
 
 def score_patient(case: CaseVector | Iterable[str], table: ScoreTable) -> dict[str, Any]:

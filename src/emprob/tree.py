@@ -15,9 +15,7 @@ Stone 1984, Classification and Regression Trees, ch. 3 and 10).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -181,8 +179,9 @@ def prune_tree(root: TreeNode, alpha: float) -> TreeNode:
     """
     if not alpha >= 0:  # also rejects NaN
         raise ValidationError(f"alpha must be nonnegative, got {alpha!r}")
-    # alpha = p / q exactly; an infinite alpha collapses every split
-    p, q = (1, 0) if alpha == math.inf else Fraction(alpha).as_integer_ratio()
+    # alpha = p / q exactly; every link strength is below 1, so any alpha
+    # from 1 up, infinity too, collapses every split as alpha = 1 does
+    p, q = float(min(alpha, 1)).as_integer_ratio()
     n_total = root.n_samples
     collapsed = set()
 

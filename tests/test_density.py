@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,20 +81,17 @@ def test_ndtr_port_is_scipy_bit_for_bit_on_the_kde_grids(kde, sum_table):
     atoms = np.unique(sum_table.normalized)
     for x in (atoms, np.linspace(0.0, 1.0, 1001)):  # scoring, density samples
         z = (x[:, None] - atoms) / kde.bandwidth
-        expected = ndtr(z)
-        assert same_bits(port_ndtr(z), expected)
-        port_ndtr(z, out=z)  # in place, as KernelDensityEstimate.cdf calls it
-        assert same_bits(z, expected)
+        assert same_bits(port_ndtr(z), ndtr(z))
 
 
 def test_ndtr_port_shapes():
-    x = port_ndtr(0.25)
-    assert isinstance(x, float) and x == ndtr(0.25)
+    for a in (0.25, np.float64(-3.0), np.array(9.0), np.nan):
+        x = port_ndtr(a)  # a 0-d input gives a scalar
+        assert np.ndim(x) == 0 and isinstance(x, float) and same_bits(x, ndtr(a))
     assert port_ndtr(np.empty((0, 3))).shape == (0, 3)
     batch = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     assert same_bits(port_ndtr(batch), ndtr(batch))
-    with pytest.raises(ValueError):
-        port_ndtr(batch, out=np.empty((4, 3)).T)
+    assert same_bits(port_ndtr(batch.T), ndtr(batch.T))
 
 
 def test_mixture_construction_validation():
@@ -508,6 +506,22 @@ def test_kde_pdf_matches_brute_force(kde, sum_table):
         assert np.abs(kde.pdf(x) - pdf).max() <= 1e-15
         assert np.abs(kde.cdf(x) - cdf).max() <= 1e-15
     assert (kde.pdf(data) > 0).all()
+
+
+def test_kde_grid_memory_is_bounded(kde):
+    # 10,001 points against the 364 distinct sums would be a 29 MB grid at
+    # once; pdf and cdf evaluate it a bounded block of points at a time
+    x = np.linspace(-0.2, 1.2, 10001)
+    for f in (kde.pdf, kde.cdf):
+        tracemalloc.start()
+        try:
+            values = f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (f.__name__, peak)
+        # each row sums on its own, so the blocks give one point's bits
+        assert same_bits(values[::997], [f(v) for v in x[::997]])
 
 
 def test_kde_validation():

@@ -24,7 +24,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # SHA-256 of each demo's stdout, with the directory it runs in as "<dir>"
 DEMO_STDOUT_SHA256 = {
     "01_scoring_walkthrough.py": "4c245aaae85dd42a245a38bfb58179e5f2a5c351cc01b1e500b449bc69f925b7",
-    "02_density_fit.py": "f999589bbd7f3b881363c67c5a21105c9da6e2e148a56c75715e0e4e3a70838c",
+    "02_density_fit.py": "a22c03406a3ea3c41d00d87f5ae49566f90d278471d251cf47ababc09474045d",
     "03_decision_tree.py": "95116e94971f2bed8d744110a8c8117f5672ce6a4a4467684a1e3f78accccd79",
     "04_concept_lattice.py": "546c7f976176b325a02da4a482f8922bab608e30be6f6b015d7342c077a5bbea",
     "05_single_patient.py": "5c94ebd27459787bd4f856386e29b6fd044b56834e0a82cfab1f2401391b2ecc",

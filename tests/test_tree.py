@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -288,7 +289,8 @@ def test_prune_keeps_a_subtree_whose_link_strength_equals_alpha():
     assert node_count(root) == 5
     assert sorted(g for _, g in link_strengths(root)) == [Fraction(1, 8), Fraction(3, 16)]
     for alpha, nodes in ((0.125, 5), (np.nextafter(0.125, 1.0), 3), (0.25, 3),
-                         (np.nextafter(0.25, 1.0), 1)):
+                         (np.nextafter(0.25, 1.0), 1), (np.int64(0), 5), (np.int64(1), 1),
+                         (10**400, 1), (math.inf, 1)):
         pruned = prune_tree(root, alpha)
         assert node_count(pruned) == nodes, alpha
         assert pruned == reference_prune(root, alpha), alpha
