@@ -2,18 +2,18 @@
 Scoring one patient
 ===================
 
-The batch table scores every admissible answer combination, so a single
-patient's scores are the table row of their combination: `score_patient`
-validates the answers and looks the row up by its canonical index, returning
-it with the column names of scores.csv. `emprob score-patient` prints that
-row as JSON, fitting only the stages behind the table (one mixture and the
-kernel estimate; no tree, no lattices).
+The batch table scores every admissible answer combination; a single
+patient needs only their own row. `score_patient` validates the answers,
+reads the combination's sums at its canonical index, and evaluates the three
+scores at that one normalized sum, which gives the table row bit for bit
+without building the table. It returns the row with the column names of
+scores.csv. `emprob score-patient` prints that row as JSON, fitting only one
+mixture and the kernel estimate (no score table, no tree, no lattices).
 """
 
 from emprob import PipelineConfig, PipelineResult, score_patient
 
 result = PipelineResult(PipelineConfig())
-table = result.table
 vector = result.mean_weight_vector
 
 # three presentations: textbook-looking, all-favorable, and all-adverse
@@ -29,7 +29,7 @@ patients = {
     ),
 }
 for name, answers in patients.items():
-    row = score_patient(answers, table)
+    row = score_patient(answers, result.sum_table, result.gmm, result.kde)
     print(f"{name}:")
     print(f"  raw sum {row['raw_sum']:.4f}, normalized {row['normalized_sum']:.4f}")
     print(

@@ -5,154 +5,114 @@ scores for every admissible answer combination, fitting a Gaussian mixture
 by expectation-maximization alongside a kernel density estimate, and
 explains the resulting categories with a decision tree and per-band
 concept lattices.
+
+The namespace loads lazily (PEP 562): ``import emprob`` imports neither
+numpy nor any submodule, and each public name imports the submodule that
+defines it on first use.  The resolved objects are not kept here, so
+``emprob.name`` always reads the submodule's current binding.
 """
 
-from emprob.cases import (
-    CaseSet,
-    CaseVector,
-    WeightSumTable,
-    canonical_index,
-    enumerate_cases,
-    weight_sum_table,
-)
-from emprob.density import (
-    SILVERMAN_CONVENTIONS,
-    ComponentSelection,
-    FitReport,
-    GaussianMixture,
-    KernelDensityEstimate,
-    em_fit,
-    select_component_count,
-    silverman_bandwidth,
-)
-from emprob.fca import (
-    ConceptLattice,
-    FormalContext,
-    build_band_context,
-    build_lattice,
-    enumerate_concepts,
-)
-from emprob.io import (
-    export_cxt,
-    export_density_samples_csv,
-    export_scores_csv,
-    export_supports_csv,
-    lattice_to_dot,
-    tree_to_dot,
-    write_json,
-)
-from emprob.pipeline import (
-    DEFAULT_BANDS,
-    PipelineConfig,
-    PipelineResult,
-    band_tag,
-    fit_report_document,
-    load_inputs,
-    prepare,
-    write_artifacts,
-)
-from emprob.schema import (
-    AnswerOption,
-    AnswerWeightVector,
-    MergeRule,
-    Question,
-    QuestionMode,
-    Questionnaire,
-    ValidationError,
-    WeightMatrix,
-    default_questionnaire,
-    default_weight_matrix,
-    load_questionnaire,
-    load_weight_matrix,
-    mean_weights,
-    merge_answers,
-    validate_weights,
-)
-from emprob.scoring import (
-    DEFAULT_THRESHOLDS,
-    ProbabilityCategory,
-    ScoreTable,
-    categorize_array,
-    elicit_probabilities,
-    ill_component,
-    score_patient,
-    validate_thresholds,
-)
-from emprob.tree import (
-    TreeNode,
-    fit_decision_tree,
-    iter_nodes,
-    leaf_count,
-    node_count,
-    prune_tree,
-    tree_depth,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnswerOption",
-    "AnswerWeightVector",
-    "CaseSet",
-    "CaseVector",
-    "ComponentSelection",
-    "ConceptLattice",
-    "DEFAULT_THRESHOLDS",
-    "FitReport",
-    "FormalContext",
-    "GaussianMixture",
-    "KernelDensityEstimate",
-    "MergeRule",
-    "DEFAULT_BANDS",
-    "PipelineConfig",
-    "PipelineResult",
-    "ProbabilityCategory",
-    "Question",
-    "QuestionMode",
-    "Questionnaire",
-    "SILVERMAN_CONVENTIONS",
-    "ScoreTable",
-    "TreeNode",
-    "ValidationError",
-    "WeightMatrix",
-    "WeightSumTable",
-    "band_tag",
-    "build_band_context",
-    "build_lattice",
-    "canonical_index",
-    "categorize_array",
-    "default_questionnaire",
-    "default_weight_matrix",
-    "elicit_probabilities",
-    "em_fit",
-    "enumerate_cases",
-    "enumerate_concepts",
-    "export_cxt",
-    "export_density_samples_csv",
-    "export_scores_csv",
-    "export_supports_csv",
-    "fit_decision_tree",
-    "fit_report_document",
-    "ill_component",
-    "iter_nodes",
-    "lattice_to_dot",
-    "leaf_count",
-    "load_inputs",
-    "load_questionnaire",
-    "load_weight_matrix",
-    "mean_weights",
-    "merge_answers",
-    "node_count",
-    "prepare",
-    "prune_tree",
-    "score_patient",
-    "select_component_count",
-    "silverman_bandwidth",
-    "tree_depth",
-    "tree_to_dot",
-    "write_json",
-    "validate_thresholds",
-    "validate_weights",
-    "weight_sum_table",
-    "write_artifacts",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "cases": (
+        "CaseSet",
+        "CaseVector",
+        "WeightSumTable",
+        "canonical_index",
+        "enumerate_cases",
+        "weight_sum_table",
+    ),
+    "cli": (),
+    "density": (
+        "SILVERMAN_CONVENTIONS",
+        "ComponentSelection",
+        "FitReport",
+        "GaussianMixture",
+        "KernelDensityEstimate",
+        "em_fit",
+        "select_component_count",
+        "silverman_bandwidth",
+    ),
+    "fca": (
+        "ConceptLattice",
+        "FormalContext",
+        "build_band_context",
+        "build_lattice",
+        "enumerate_concepts",
+    ),
+    "io": (
+        "export_cxt",
+        "export_density_samples_csv",
+        "export_scores_csv",
+        "export_supports_csv",
+        "lattice_to_dot",
+        "tree_to_dot",
+        "write_json",
+    ),
+    "pipeline": (
+        "DEFAULT_BANDS",
+        "PipelineConfig",
+        "PipelineResult",
+        "band_tag",
+        "fit_report_document",
+        "load_inputs",
+        "prepare",
+        "write_artifacts",
+    ),
+    "schema": (
+        "AnswerOption",
+        "AnswerWeightVector",
+        "MergeRule",
+        "Question",
+        "QuestionMode",
+        "Questionnaire",
+        "ValidationError",
+        "WeightMatrix",
+        "default_questionnaire",
+        "default_weight_matrix",
+        "load_questionnaire",
+        "load_weight_matrix",
+        "mean_weights",
+        "merge_answers",
+        "validate_weights",
+    ),
+    "scoring": (
+        "DEFAULT_THRESHOLDS",
+        "ProbabilityCategory",
+        "ScoreTable",
+        "categorize_array",
+        "elicit_probabilities",
+        "ill_component",
+        "score_patient",
+        "validate_thresholds",
+    ),
+    "tree": (
+        "TreeNode",
+        "fit_decision_tree",
+        "iter_nodes",
+        "leaf_count",
+        "node_count",
+        "prune_tree",
+        "tree_depth",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

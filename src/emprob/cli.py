@@ -33,7 +33,6 @@ from emprob.pipeline import (
 )
 from emprob.schema import ValidationError
 from emprob.scoring import score_patient
-from emprob.tree import leaf_count, node_count, tree_depth
 
 
 def _n_components(text: str) -> int | None:
@@ -72,6 +71,8 @@ def _print_case_count(result: PipelineResult, args: argparse.Namespace) -> None:
 
 
 def _print_trees(result: PipelineResult, args: argparse.Namespace) -> None:
+    from emprob.tree import leaf_count, node_count, tree_depth
+
     for name, tree in (("tree_full.dot", result.tree_full), ("tree_pruned.dot", result.tree_pruned)):
         print(
             f"{name}: {node_count(tree)} nodes, {leaf_count(tree)} leaves, "
@@ -93,7 +94,9 @@ def _print_patient(result: PipelineResult, args: argparse.Namespace) -> None:
         raise ValidationError("no answer ids given")
     case = CaseVector(true_answers=frozenset(ids))
     canonical_index(case, result.questionnaire)  # validates before any model is fitted
-    print(json.dumps(score_patient(case, result.table), indent=2, sort_keys=True))
+    row = score_patient(case, result.sum_table, result.gmm, result.kde,
+                        thresholds=result.config.thresholds)
+    print(json.dumps(row, indent=2, sort_keys=True))
 
 
 # subcommand -> (help, artifact writer or None, summary printer)

@@ -246,7 +246,9 @@ def check_component_count(data, n_components: int) -> np.ndarray:
         raise ValidationError("EM input contains non-finite values")
     if n_components < 1:
         raise ValidationError("n_components must be at least 1")
-    distinct = np.unique(x).size
+    # counted from a sort: np.unique without counts imports numpy.ma
+    xs = np.sort(x)
+    distinct = int(np.count_nonzero(xs[1:] != xs[:-1])) + min(xs.size, 1)
     if distinct <= n_components:
         raise ValidationError(
             f"EM needs more distinct values than components, got {distinct} <= {n_components}"
@@ -468,6 +470,25 @@ SILVERMAN_CONVENTIONS = {
 }
 
 
+def _linear_quartiles(x: np.ndarray) -> tuple[float, float]:
+    """np.percentile(x, [75, 25]) of at least two values, bit for bit, since
+    np.percentile imports numpy.ma: numpy's linear-method index
+    n q + (alpha + q (1 - alpha - beta)) - 1 with alpha = beta = 1, the
+    order statistics from a partition at numpy's points (which places tied
+    zeros of either sign as numpy does), and numpy's lerp, which measures
+    from the upper value where the weight is at least 1/2."""
+    n = x.size
+    v = [n * q + (1 - q) - 1 for q in (0.75, 0.25)]
+    lower = [math.floor(vi) for vi in v]
+    xp = np.partition(x, sorted({0, -1, *lower, *(i + 1 for i in lower)}))
+    quartiles = []
+    for vi, i in zip(v, lower):
+        a, b, t = float(xp[i]), float(xp[i + 1]), vi - i
+        d = b - a
+        quartiles.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return quartiles[0], quartiles[1]
+
+
 def silverman_bandwidth(data) -> float:
     """Silverman's rule of thumb for a Gaussian kernel.
 
@@ -480,7 +501,7 @@ def silverman_bandwidth(data) -> float:
     if not np.all(np.isfinite(x)):
         raise ValidationError("bandwidth input contains non-finite values")
     sd = float(np.std(x, ddof=1))
-    q75, q25 = np.percentile(x, [75, 25])
+    q75, q25 = _linear_quartiles(x)
     spread = min(sd, (q75 - q25) / 1.34)
     if spread <= 0:
         raise ValidationError("degenerate sample: zero spread")

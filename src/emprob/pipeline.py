@@ -16,7 +16,9 @@ write_artifacts writes all four:
   supports_<lo>_<hi>.csv: one formal context, concept lattice, and support
   table per probability band
 
-Reruns on identical inputs reproduce every artifact byte for byte.
+Reruns on identical inputs reproduce every artifact byte for byte.  The
+tree, lattice and writer modules are imported by the stages and writers that
+use them, so a run that only scores loads none of them.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from emprob import io as eio
 from emprob.cases import CaseSet, WeightSumTable, enumerate_cases, weight_sum_table
 from emprob.density import (
     ComponentSelection,
@@ -38,7 +39,6 @@ from emprob.density import (
     check_component_count,
     em_fit,
 )
-from emprob.fca import ConceptLattice, build_band_context, build_lattice
 from emprob.schema import (
     AnswerWeightVector,
     Questionnaire,
@@ -60,7 +60,10 @@ from emprob.scoring import (
     elicit_probabilities,
     validate_thresholds,
 )
-from emprob.tree import TreeNode, fit_decision_tree, prune_tree
+
+if TYPE_CHECKING:
+    from emprob.fca import ConceptLattice
+    from emprob.tree import TreeNode
 
 DEFAULT_BANDS = tuple((i / 10, (i + 1) / 10) for i in range(10))
 
@@ -203,15 +206,21 @@ class PipelineResult:
 
     @cached_property
     def tree_full(self) -> TreeNode:
+        from emprob.tree import fit_decision_tree
+
         return fit_decision_tree(self.case_set, self.table.category)
 
     @cached_property
     def tree_pruned(self) -> TreeNode:
+        from emprob.tree import prune_tree
+
         return prune_tree(self.tree_full, self.config.prune_alpha)
 
     @cached_property
     def lattices(self) -> tuple[tuple[tuple[float, float], ConceptLattice], ...]:
         """Each band's concept lattice; its context is ``lattice.context``."""
+        from emprob.fca import build_band_context, build_lattice
+
         approach = self.config.band_approach
         return tuple(
             (band, build_lattice(build_band_context(self.table, band, approach)))
@@ -305,6 +314,8 @@ def _output_dir(result: PipelineResult, output_dir: str | Path | None) -> Path:
 
 def write_scores(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write scores.csv; returns the paths written."""
+    from emprob import io as eio
+
     table = result.table
     path = _output_dir(result, output_dir) / "scores.csv"
     eio.export_scores_csv(table, path)
@@ -313,6 +324,8 @@ def write_scores(result: PipelineResult, output_dir: str | Path | None = None) -
 
 def write_fit(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write fit_report.json and density_samples.csv."""
+    from emprob import io as eio
+
     doc = fit_report_document(result)
     out = _output_dir(result, output_dir)
     report, samples = out / "fit_report.json", out / "density_samples.csv"
@@ -323,6 +336,8 @@ def write_fit(result: PipelineResult, output_dir: str | Path | None = None) -> l
 
 def write_trees(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write tree_full.dot and tree_pruned.dot."""
+    from emprob import io as eio
+
     trees = (result.tree_full, result.tree_pruned)
     out = _output_dir(result, output_dir)
     paths = [out / "tree_full.dot", out / "tree_pruned.dot"]
@@ -333,6 +348,8 @@ def write_trees(result: PipelineResult, output_dir: str | Path | None = None) ->
 
 def write_lattices(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write each band's context (CXT), lattice (DOT) and supports (CSV)."""
+    from emprob import io as eio
+
     lattices = result.lattices
     out = _output_dir(result, output_dir)
     paths = []

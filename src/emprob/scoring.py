@@ -13,8 +13,9 @@ table's category column comes from the gmm_cdf score, the consensus default.
 samples alike; the table scores each distinct normalized sum once and
 gathers the scores back per case.  With quarter-point weights every raw sum
 is the correctly rounded exact value, so cases with equal sums get
-identical scores.  The table holds every admissible case, so scoring a
-single case is a lookup of its row at ``canonical_index``.  ``COLUMNS``
+identical scores.  A single case is scored at its own normalized sum alone:
+each point's scores are computed on their own, so they are the bits of the
+case's table row, without the table.  ``COLUMNS``
 names the per-case numbers once, for the table, the score files and the
 single-case row alike.
 """
@@ -91,6 +92,15 @@ def approach_scores(gmm: GaussianMixture, kde: KernelDensityEstimate, x) -> tupl
     return gmm.cdf(x), kde.cdf(x), gmm.posterior(x, ill_component(gmm))
 
 
+def _check_scores(scores) -> None:
+    """Each approach's scores, in ``APPROACHES`` order, must lie in [0, 1]
+    (a NaN fails both comparisons)."""
+    for approach, s in zip(APPROACHES, scores):
+        s = np.asarray(s)
+        if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):
+            raise ValidationError(f"approach {approach} scores outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Scores for every case of a weight-sum table, rows in canonical order.
@@ -113,10 +123,7 @@ class ScoreTable:
         for name in (*(field for _, field in COLUMNS), "category"):
             if getattr(self, name).shape != (n,):
                 raise ValidationError(f"{name} length does not match raw_sums")
-        for approach in APPROACHES:
-            s = self.scores_by_approach(approach)
-            if s.size and (s.min() < 0.0 or s.max() > 1.0):
-                raise ValidationError(f"approach {approach} scores outside [0, 1]")
+        _check_scores(self.scores_by_approach(approach) for approach in APPROACHES)
 
     def __len__(self) -> int:
         return int(self.raw_sums.size)
@@ -152,22 +159,34 @@ def elicit_probabilities(
                       category=categorize_array(p1, thresholds), thresholds=thresholds)
 
 
-def score_patient(case: CaseVector | Iterable[str], table: ScoreTable) -> dict[str, Any]:
-    """The row of a score table for one admissible case, as ``emprob
+def score_patient(
+    case: CaseVector | Iterable[str],
+    table: WeightSumTable,
+    gmm: GaussianMixture,
+    kde: KernelDensityEstimate,
+    *,
+    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
+) -> dict[str, Any]:
+    """One admissible case's row of the score table, as ``emprob
     score-patient`` prints it: the sorted answer ids, the ``COLUMNS`` and
     the category name.
 
-    The table holds every case of its questionnaire, so the case is
-    validated and its row found at ``canonical_index``; the category is the
-    table's, under the table's thresholds.  A bare string is no case.
+    The case is validated and its sums read at ``canonical_index`` of the
+    weight-sum table; the three scores are evaluated at its normalized sum
+    only.  The models must have been fitted on the table's normalized sums,
+    as for ``elicit_probabilities``.  A bare string is no case.
     """
     if isinstance(case, str):
         raise ValidationError(f"a case is a collection of answer ids, got the string {case!r}")
     if not isinstance(case, CaseVector):
         case = CaseVector(true_answers=frozenset(case))
     i = canonical_index(case, table.case_set.questionnaire)
+    x = table.normalized[i]
+    scores = approach_scores(gmm, kde, x)
+    _check_scores(scores)
+    category = categorize_array(scores[0], thresholds)
     return {
         "answers": sorted(case.true_answers),
-        **{column: float(getattr(table, field)[i]) for column, field in COLUMNS},
-        "category": ProbabilityCategory(int(table.category[i])).name,
+        **{column: float(v) for (column, _), v in zip(COLUMNS, (table.raw_sums[i], x, *scores))},
+        "category": ProbabilityCategory(int(category)).name,
     }

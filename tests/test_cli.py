@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import emprob
-from emprob import pipeline
+from emprob import fca, pipeline, tree
 from emprob.cli import _CONFIG_FLAGS, COMMANDS, build_parser, config_from_args, main
 from reference_data import read_scores_csv, write_unmerged_inputs
 
@@ -138,13 +138,14 @@ def test_score_patient(tmp_path, capsys):
 def stage_calls(monkeypatch):
     """Counts the pipeline's EM fits (by component count), tree growths and
     lattice builds."""
-    calls = {"em_fit": [], "fit_decision_tree": [], "build_lattice": []}
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+    homes = {"em_fit": pipeline, "fit_decision_tree": tree, "build_lattice": fca}
+    calls = {name: [] for name in homes}
+    for name, owner in homes.items():
+        def counting(*args, _name=name, _fn=getattr(owner, name), **kwargs):
             calls[_name].append(args[1] if _name == "em_fit" else None)
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -482,6 +483,49 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+IMPORT_PACKAGE = """
+import json, sys
+import emprob
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("emprob."))
+unlisted = sorted(set(emprob.__all__) - set(dir(emprob)))
+unresolved = [name for name in emprob.__all__ if getattr(emprob, name, None) is None]
+star = {}
+exec("from emprob import *", star)
+try:
+    emprob.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([loaded, unlisted, unresolved, sorted(set(emprob.__all__) - set(star)), unknown]))
+"""
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    """``import emprob`` loads neither numpy nor a submodule; every exported
+    name still resolves, ``dir`` and ``import *`` list them, and an unknown
+    name is an AttributeError."""
+    proc = run_python(tmp_path, "-c", IMPORT_PACKAGE)
+    assert proc.returncode == 0, proc.stderr
+    loaded, unlisted, unresolved, not_starred, unknown = json.loads(proc.stdout)
+    assert (loaded, unlisted, unresolved, not_starred) == ([], [], [], [])
+    assert unknown == "module 'emprob' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["score-patient", "a_2_q1,a_3_q2,a_1_q3,a_1_q4,a_2_q5,a_1_q6"],
+     ["emprob.fca", "emprob.io", "emprob.tree", "numpy.ma"]),
+    (["report"], ["numpy.ma"]),
+], ids=["score-patient", "report"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    """Scoring one patient loads no lattice, tree or writer code, and no run
+    loads numpy.ma."""
+    code = (f"import sys; from emprob.cli import main; code = main({argv!r}); "
+            f"print(code, sorted(set({absent!r}) & set(sys.modules)))")
+    proc = run_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def run_console_script(tmp_path, *args):

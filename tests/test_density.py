@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtr
 
@@ -467,6 +469,18 @@ def test_silverman_uses_smaller_spread():
         * 100 ** -0.2,
         rel=1e-12,
     )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.25, 1.0])
+                | st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=400))
+def test_linear_quartiles_match_numpy_percentile(values):
+    """The quartiles behind Silverman's rule are np.percentile's, bit for
+    bit, with ties (zeros of both signs among them) and negative values."""
+    x = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # far-apart values overflow b - a
+        expected = np.percentile(x, [75, 25])
+    assert np.array(density._linear_quartiles(x)).tobytes() == expected.tobytes()
 
 
 def test_silverman_errors():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emprob import pipeline
+from emprob import fca, pipeline, tree
 from emprob.scoring import APPROACHES
 from emprob import (
     DEFAULT_BANDS,
@@ -427,7 +427,8 @@ def test_reversed_questions_keep_the_tree_sizes(tmp_path, result):
     assert reversed_result.kde.bandwidth == result.kde.bandwidth
     for i in range(len(result.case_set)):
         case = result.case_set.case(i)
-        assert score_patient(case, reversed_result.table) == score_patient(case, result.table)
+        rows = [score_patient(case, r.sum_table, r.gmm, r.kde) for r in (reversed_result, result)]
+        assert rows[0] == rows[1]
 
 
 def test_equal_sums_get_identical_scores(result):
@@ -451,8 +452,9 @@ def test_pipeline_result_is_lazy(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("stage computed without being read")
 
-    for name in ("load_inputs", "em_fit", "fit_decision_tree", "build_lattice"):
-        monkeypatch.setattr(pipeline, name, never)
+    for owner, name in ((pipeline, "load_inputs"), (pipeline, "em_fit"),
+                        (tree, "fit_decision_tree"), (fca, "build_lattice")):
+        monkeypatch.setattr(owner, name, never)
     res = pipeline.PipelineResult(PipelineConfig())
     assert res.config == PipelineConfig()
     with pytest.raises(AssertionError, match="without being read"):

@@ -35,8 +35,10 @@ def test_every_exported_name_resolves():
     missing = [name for name in emprob.__all__ if not hasattr(emprob, name)]
     assert not missing
     assert len(set(emprob.__all__)) == len(emprob.__all__)
-    imported = {name for _, name in emprob_imports(Path(emprob.__file__))}
-    assert imported == set(emprob.__all__)
+    exported = [(module, name) for module, names in emprob._EXPORTS.items() for name in names]
+    assert sorted(name for _, name in exported) == sorted(emprob.__all__)
+    for module, name in exported:
+        assert name in vars(importlib.import_module(f"emprob.{module}")), f"{module}.{name}"
 
 
 def dotted_parts(node):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -55,6 +57,15 @@ def test_score_table_ranges_and_category_column(score_table):
     assert_array_equal(score_table.category, categorize_array(score_table.score_gmm_cdf))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.001, 1.001])
+@pytest.mark.parametrize("field", [field for _, field in COLUMNS[-len(APPROACHES):]])
+def test_score_table_rejects_a_score_outside_the_unit_interval(score_table, field, bad):
+    scores = getattr(score_table, field).copy()
+    scores[7] = bad
+    with pytest.raises(ValidationError, match="scores outside"):
+        dataclasses.replace(score_table, **{field: scores})
+
+
 def test_scores_by_approach_mapping(score_table):
     assert_array_equal(score_table.scores_by_approach(1), score_table.score_gmm_cdf)
     assert_array_equal(score_table.scores_by_approach(2), score_table.score_kde_cdf)
@@ -95,24 +106,25 @@ def test_posterior_dominates_spot_check(score_table):
     assert (score_table.score_posterior[idx] > score_table.score_kde_cdf[idx]).all()
 
 
-def test_score_patient_matches_table_rows(score_table, case_set):
-    """The row holds the answers, every column under its output name, and
-    the category name, in that order."""
+def test_score_patient_matches_table_rows(sum_table, gmm, kde, score_table, case_set):
+    """Scored at its own sum, each of the 1,536 cases gets its table row bit
+    for bit: the answers, every column under its output name, and the
+    category name, in that order."""
     for i in range(len(case_set)):
         case = case_set.case(i)
-        row = score_patient(case, score_table)
+        row = score_patient(case, sum_table, gmm, kde)
         assert list(row) == ["answers", *(column for column, _ in COLUMNS), "category"]
         assert row["answers"] == sorted(case.true_answers)
         for column, field in COLUMNS:
-            assert row[column] == getattr(score_table, field)[i], column
+            assert row[column].hex() == float(getattr(score_table, field)[i]).hex(), column
         assert row["category"] == ProbabilityCategory(score_table.category[i]).name
 
 
-def test_score_patient_reference_extremes(reference_score_table):
-    top = score_patient(MAX_CASE, reference_score_table)
+def test_score_patient_reference_extremes(sum_table, kde):
+    top = score_patient(MAX_CASE, sum_table, REFERENCE_GMM, kde)
     assert top["normalized_sum"] == 1.0
     assert top["p_gmm_cdf"] == pytest.approx(0.998, abs=5e-4)
-    bottom = score_patient(MIN_CASE, reference_score_table)
+    bottom = score_patient(MIN_CASE, sum_table, REFERENCE_GMM, kde)
     assert bottom["normalized_sum"] == 0.0
     assert bottom["p_gmm_cdf"] == pytest.approx(0.0010, abs=5e-5)
     assert bottom["category"] == "LOW"
@@ -125,27 +137,28 @@ def test_score_patient_uses_the_table_thresholds(sum_table, gmm, kde, case_set):
     moved = np.flatnonzero(((p1 >= 0.2) & (p1 < 0.33)) | ((p1 >= 0.5) & (p1 < 0.68)))
     assert moved.size
     for i in moved[:: max(1, moved.size // 20)]:
-        row = score_patient(case_set.case(i), table)
+        row = score_patient(case_set.case(i), sum_table, gmm, kde, thresholds=(0.2, 0.5))
         category = ProbabilityCategory[row["category"]]
+        assert category == ProbabilityCategory(table.category[i])
         assert category == categorize_array([row["p_gmm_cdf"]], (0.2, 0.5))[0]
         assert category != categorize_array([row["p_gmm_cdf"]])[0]
 
 
-def test_score_patient_accepts_answer_ids(score_table):
-    row = score_patient(sorted(MAX_CASE.true_answers), score_table)
-    assert row == score_patient(MAX_CASE, score_table)
+def test_score_patient_accepts_answer_ids(sum_table, gmm, kde):
+    row = score_patient(sorted(MAX_CASE.true_answers), sum_table, gmm, kde)
+    assert row == score_patient(MAX_CASE, sum_table, gmm, kde)
     assert row["answers"] == sorted(MAX_CASE.true_answers)
 
 
-def test_score_patient_rejects_a_bare_string(score_table):
+def test_score_patient_rejects_a_bare_string(sum_table, gmm, kde):
     # iterating it would read the characters of one answer id as answers
     with pytest.raises(ValidationError, match="got the string 'a_2_q1'"):
-        score_patient("a_2_q1", score_table)
+        score_patient("a_2_q1", sum_table, gmm, kde)
 
 
-def test_score_patient_rejects_invalid_case(score_table):
+def test_score_patient_rejects_invalid_case(sum_table, gmm, kde):
     bad = CaseVector(
         frozenset({"a_1_q1", "a_1_q2", "a_1_q3", "a_1_q4", "a_2_q4", "a_1_q5", "a_1_q6"})
     )
     with pytest.raises(ValidationError):
-        score_patient(bad, score_table)
+        score_patient(bad, sum_table, gmm, kde)
