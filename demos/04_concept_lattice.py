@@ -15,15 +15,15 @@ from emprob import (
     KernelDensityEstimate,
     build_band_context,
     build_lattice,
+    context_to_cxt,
     default_questionnaire,
     default_weight_matrix,
     elicit_probabilities,
     em_fit,
     enumerate_cases,
-    export_cxt,
-    export_supports_csv,
     lattice_to_dot,
     mean_weights,
+    supports_to_csv,
     weight_sum_table,
 )
 
@@ -62,8 +62,8 @@ print(f"largest rectangle: {n_cases[widest]} cases x {n_answers[widest]} answers
 # lattice diagram, and the single/pair support counts
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
-export_cxt(ctx, out / "band_0_0.1.cxt")
+(out / "band_0_0.1.cxt").write_text(context_to_cxt(ctx), encoding="utf-8")
 (out / "lattice_0_0.1.dot").write_text(lattice_to_dot(lattice), encoding="utf-8")
-export_supports_csv(ctx, out / "supports_0_0.1.csv")
+(out / "supports_0_0.1.csv").write_text(supports_to_csv(ctx), encoding="utf-8")
 for name in ("band_0_0.1.cxt", "lattice_0_0.1.dot", "supports_0_0.1.csv"):
     print(f"wrote {out / name}")

@@ -45,13 +45,12 @@ _EXPORTS = {
         "enumerate_concepts",
     ),
     "io": (
-        "export_cxt",
-        "export_density_samples_csv",
-        "export_scores_csv",
-        "export_supports_csv",
+        "context_to_cxt",
+        "density_samples_to_csv",
         "lattice_to_dot",
+        "scores_to_csv",
+        "supports_to_csv",
         "tree_to_dot",
-        "write_json",
     ),
     "pipeline": (
         "DEFAULT_BANDS",

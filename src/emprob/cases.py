@@ -26,17 +26,19 @@ class CaseVector:
     true_answers: frozenset[str]
 
 
-def _digits(case: CaseVector, questionnaire: Questionnaire) -> list[int]:
-    """Each question's index of the case's answers in its combinations();
-    raises ValidationError unless the case is admissible."""
+def _digits(case: CaseVector, questionnaire: Questionnaire) -> list[tuple[int, int]]:
+    """Each question's (digit, radix): the index of the case's answers in
+    its combinations(), and their number; raises ValidationError unless the
+    case is admissible."""
     unknown = case.true_answers - set(questionnaire.answer_ids)
     if unknown:
         raise ValidationError(f"unknown answers in case: {sorted(unknown)}")
     digits = []
     for q in questionnaire.questions:
         chosen = tuple(a.id for a in q.answers if a.id in case.true_answers)
+        combinations = q.combinations()
         try:
-            digits.append(q.combinations().index(chosen))
+            digits.append((combinations.index(chosen), len(combinations)))
         except ValueError:
             raise ValidationError(
                 f"question {q.id!r}: {list(chosen)} is not an admissible answer combination"
@@ -47,8 +49,8 @@ def _digits(case: CaseVector, questionnaire: Questionnaire) -> list[int]:
 def canonical_index(case: CaseVector, questionnaire: Questionnaire) -> int:
     """Mixed-radix rank of the case in canonical order; ValidationError unless admissible."""
     idx = 0
-    for q, d in zip(questionnaire.questions, _digits(case, questionnaire)):
-        idx = idx * q.combination_count() + d
+    for digit, radix in _digits(case, questionnaire):
+        idx = idx * radix + digit
     return idx
 
 

@@ -328,13 +328,6 @@ def _newton_step(atoms, counts, params, resp):
     return theta, step
 
 
-def _from_logits(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    logits = np.append(theta[: m - 1], 0.0)
-    w = np.exp(logits - logits.max())
-    sg = np.maximum(np.exp(theta[2 * m - 1 :]), _SIGMA_FLOOR)
-    return w / w.sum(), theta[m - 1 : 2 * m - 1], sg
-
-
 def em_fit(data, n_components: int) -> tuple[GaussianMixture, FitReport]:
     """Fit a univariate Gaussian mixture by EM with SQUAREM and Newton steps.
 
@@ -413,7 +406,8 @@ def em_fit(data, n_components: int) -> tuple[GaussianMixture, FitReport]:
             if newton is not None:
                 theta, step = newton
                 for _ in range(_NEWTON_HALVINGS + 1):
-                    p4 = _from_logits(theta + step, m)
+                    # the last component's logit is 0 against itself
+                    p4 = _from_theta(np.insert(theta + step, m - 1, 0.0))
                     ll4, resp4 = e_step(p4)
                     if ll4 >= best[1]:
                         best = (p4, ll4, resp4)

@@ -1,14 +1,13 @@
-"""Serialization: Burmeister contexts, DOT diagrams, CSV and JSON tables.
+"""Rendering: Burmeister contexts, DOT diagrams and CSV tables as text.
 
-All writers are deterministic: fixed column orders, sorted JSON keys, no
+Every renderer returns a string and writes nothing; ``emprob.pipeline``
+writes the files.  The text is deterministic: fixed column orders, no
 timestamps, floats rendered with 17 significant digits so values round-trip
 exactly and re-running a pipeline reproduces files byte for byte.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +20,8 @@ from emprob.tree import TreeNode
 CATEGORY_NAMES = tuple(c.name for c in ProbabilityCategory)
 
 
-def export_cxt(context: FormalContext, path: str | Path) -> None:
-    """Write a formal context in Burmeister format.
+def context_to_cxt(context: FormalContext) -> str:
+    """Render a formal context in Burmeister format.
 
     Layout: a ``B`` line, a blank line, the object and attribute counts, a
     blank line, one line per object name, one per attribute name, then one
@@ -37,8 +36,7 @@ def export_cxt(context: FormalContext, path: str | Path) -> None:
     # one row of X and . per object, each ended by a newline
     block = np.full((context.n_objects, context.n_attributes + 1), ord("\n"), np.uint8)
     block[:, :-1] = np.where(context.incidence, np.uint8(ord("X")), np.uint8(ord(".")))
-    text = "\n".join(lines) + "\n" + block.tobytes().decode("ascii")
-    Path(path).write_text(text, encoding="utf-8")
+    return "\n".join(lines) + "\n" + block.tobytes().decode("ascii")
 
 
 def _dot_escape(s: str) -> str:
@@ -110,8 +108,8 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     return "\n".join(lines) + "".join(edges.ravel().tolist()) + "}\n"
 
 
-def export_scores_csv(table: ScoreTable, path: str | Path) -> None:
-    """Write one row per case: case_id, answer indicators (0/1), the
+def scores_to_csv(table: ScoreTable) -> str:
+    """Render one row per case: case_id, answer indicators (0/1), the
     ``COLUMNS`` (raw and normalized sums, the three scores), and the
     category."""
     header = ["case_id", *table.answer_ids, *(column for column, _ in COLUMNS), "category"]
@@ -122,14 +120,13 @@ def export_scores_csv(table: ScoreTable, path: str | Path) -> None:
     indicators = cells.tobytes().decode("ascii")
     scores = np.column_stack([getattr(table, field) for _, field in COLUMNS]).tolist()
     row = "%d,%s" + ",".join(["%.17g"] * len(COLUMNS)) + ",%s\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for i, (values, k) in enumerate(zip(scores, table.category.tolist())):
-            cells_i = indicators[i * width : (i + 1) * width]
-            f.write(row % (i, cells_i, *values, CATEGORY_NAMES[k]))
+    return ",".join(header) + "\n" + "".join(
+        row % (i, indicators[i * width : (i + 1) * width], *values, CATEGORY_NAMES[k])
+        for i, (values, k) in enumerate(zip(scores, table.category.tolist()))
+    )
 
 
-def export_density_samples_csv(gmm, kde, path: str | Path) -> None:
+def density_samples_to_csv(gmm, kde) -> str:
     """Tabulate the fitted curves on an even 1001-point grid over [0, 1]:
     mixture pdf, each weighted component pdf, kernel pdf, and the three score
     curves."""
@@ -139,12 +136,10 @@ def export_density_samples_csv(gmm, kde, path: str | Path) -> None:
              "kde_pdf", *(column for column, _ in COLUMNS[-len(scores):])]
     rows = np.column_stack([xs, gmm.pdf(xs), gmm.component_pdfs(xs), kde.pdf(xs), *scores])
     row = ",".join(["%.17g"] * len(names)) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(names) + "\n")
-        f.writelines(row % tuple(values) for values in rows.tolist())
+    return ",".join(names) + "\n" + "".join(row % tuple(values) for values in rows.tolist())
 
 
-def export_supports_csv(context: FormalContext, path: str | Path) -> None:
+def supports_to_csv(context: FormalContext) -> str:
     """Support counts of every single attribute and every attribute pair."""
     inc = context.incidence.astype(np.int64)
     counts = inc.T @ inc  # counts[i, j]: objects having attributes i and j
@@ -153,11 +148,4 @@ def export_supports_csv(context: FormalContext, path: str | Path) -> None:
     for i in range(len(atts)):
         for j in range(i + 1, len(atts)):
             lines.append(f"{atts[i]};{atts[j]},{counts[i, j]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_json(obj, path: str | Path) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return "\n".join(lines) + "\n"

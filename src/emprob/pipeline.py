@@ -16,18 +16,21 @@ write_artifacts writes all four:
   supports_<lo>_<hi>.csv: one formal context, concept lattice, and support
   table per probability band
 
-Reruns on identical inputs reproduce every artifact byte for byte.  The
-tree, lattice and writer modules are imported by the stages and writers that
-use them, so a run that only scores loads none of them.
+Each writer renders its texts with ``emprob.io`` and hands them to one
+private ``_write``, the only code in the package that writes files.  Reruns
+on identical inputs reproduce every artifact byte for byte.  The tree,
+lattice and renderer modules are imported by the stages and writers that use
+them, so a run that only scores loads none of them.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from emprob.cases import CaseSet, WeightSumTable, enumerate_cases, weight_sum_table
 from emprob.density import (
@@ -58,6 +61,7 @@ from emprob.scoring import (
     DEFAULT_THRESHOLDS,
     ScoreTable,
     elicit_probabilities,
+    real_bound,
     validate_thresholds,
 )
 
@@ -96,9 +100,11 @@ class PipelineConfig:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
         try:
-            bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
-        except (TypeError, ValueError):
-            raise ValidationError(f"bands must be [lo, hi] pairs, got {self.bands!r}") from None
+            bands = tuple((real_bound(lo), real_bound(hi)) for lo, hi in self.bands)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"bands must be [lo, hi] pairs of real numbers, got {self.bands!r}"
+            ) from None
         seen: dict[str, tuple[float, float]] = {}
         for lo, hi in bands:
             if not (0.0 <= lo < hi <= 1.0):
@@ -304,62 +310,62 @@ def band_tag(band: tuple[float, float]) -> str:
     return f"{band[0]:g}_{band[1]:g}"
 
 
-def _output_dir(result: PipelineResult, output_dir: str | Path | None) -> Path:
-    # each writer reads its stages first, so a run whose inputs are rejected
-    # leaves no directory behind
+def _write(
+    result: PipelineResult, output_dir: str | Path | None, files: Iterable[tuple[str, str]]
+) -> list[Path]:
+    """Write each (file name, text) pair into the output directory, created
+    first; returns the paths.  Each writer reads its stages before it calls
+    this, so a run whose inputs are rejected leaves no directory behind."""
     out = Path(result.config.output_dir if output_dir is None else output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    paths = []
+    for name, text in files:
+        paths.append(out / name)
+        paths[-1].write_text(text, encoding="utf-8")
+    return paths
 
 
 def write_scores(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write scores.csv; returns the paths written."""
-    from emprob import io as eio
+    from emprob.io import scores_to_csv
 
-    table = result.table
-    path = _output_dir(result, output_dir) / "scores.csv"
-    eio.export_scores_csv(table, path)
-    return [path]
+    return _write(result, output_dir, [("scores.csv", scores_to_csv(result.table))])
 
 
 def write_fit(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write fit_report.json and density_samples.csv."""
-    from emprob import io as eio
+    from emprob.io import density_samples_to_csv
 
-    doc = fit_report_document(result)
-    out = _output_dir(result, output_dir)
-    report, samples = out / "fit_report.json", out / "density_samples.csv"
-    eio.write_json(doc, report)
-    eio.export_density_samples_csv(result.gmm, result.kde, samples)
-    return [report, samples]
+    report = json.dumps(fit_report_document(result), indent=2, sort_keys=True) + "\n"
+    return _write(result, output_dir, [
+        ("fit_report.json", report),
+        ("density_samples.csv", density_samples_to_csv(result.gmm, result.kde)),
+    ])
 
 
 def write_trees(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write tree_full.dot and tree_pruned.dot."""
-    from emprob import io as eio
+    from emprob.io import tree_to_dot
 
-    trees = (result.tree_full, result.tree_pruned)
-    out = _output_dir(result, output_dir)
-    paths = [out / "tree_full.dot", out / "tree_pruned.dot"]
-    for path, tree in zip(paths, trees):
-        path.write_text(eio.tree_to_dot(tree), encoding="utf-8")
-    return paths
+    return _write(result, output_dir, [
+        ("tree_full.dot", tree_to_dot(result.tree_full)),
+        ("tree_pruned.dot", tree_to_dot(result.tree_pruned)),
+    ])
 
 
 def write_lattices(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
-    """Write each band's context (CXT), lattice (DOT) and supports (CSV)."""
-    from emprob import io as eio
+    """Write each band's context (CXT), lattice (DOT) and supports (CSV),
+    rendering one band's texts at a time."""
+    from emprob.io import context_to_cxt, lattice_to_dot, supports_to_csv
 
-    lattices = result.lattices
-    out = _output_dir(result, output_dir)
-    paths = []
-    for band, lattice in lattices:
-        tag = band_tag(band)
-        paths += [out / f"band_{tag}.cxt", out / f"lattice_{tag}.dot", out / f"supports_{tag}.csv"]
-        eio.export_cxt(lattice.context, paths[-3])
-        paths[-2].write_text(eio.lattice_to_dot(lattice), encoding="utf-8")
-        eio.export_supports_csv(lattice.context, paths[-1])
-    return paths
+    def files(lattices):
+        for band, lattice in lattices:
+            tag = band_tag(band)
+            yield f"band_{tag}.cxt", context_to_cxt(lattice.context)
+            yield f"lattice_{tag}.dot", lattice_to_dot(lattice)
+            yield f"supports_{tag}.csv", supports_to_csv(lattice.context)
+
+    return _write(result, output_dir, files(result.lattices))
 
 
 def write_artifacts(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:

@@ -93,13 +93,6 @@ class Question:
             return tuple(a.id for a in self.answers)
         return tuple(a.id for a in self.answers if a.id != self.none_answer_id)
 
-    def combination_count(self) -> int:
-        """Number of admissible answer combinations for this question."""
-        if self.mode is QuestionMode.EXCLUSIVE:
-            return len(self.answers)
-        # none-answer alone, XOR a non-empty subset of the remaining answers
-        return 2 ** len(self.selectable_answer_ids)
-
     def combinations(self) -> list[tuple[str, ...]]:
         """Admissible combinations in canonical order.
 

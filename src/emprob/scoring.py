@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from numbers import Real
 from typing import Any, Iterable
 
 import numpy as np
@@ -55,11 +56,22 @@ class ProbabilityCategory(IntEnum):
     HIGH = 2
 
 
+def real_bound(value: Any) -> float:
+    """A threshold or band bound as a float.  It must be a ``numbers.Real``
+    that is not a bool, so numpy floats pass and numeric strings do not;
+    TypeError otherwise, and OverflowError for an integer beyond any float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"not a real number: {value!r}")
+    return float(value)
+
+
 def validate_thresholds(thresholds: tuple[float, float]) -> tuple[float, float]:
     try:
-        t1, t2 = (float(t) for t in thresholds)
-    except (TypeError, ValueError):
-        raise ValidationError(f"thresholds must be two floats, got {thresholds!r}") from None
+        t1, t2 = (real_bound(t) for t in thresholds)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"thresholds must be two real numbers, got {thresholds!r}"
+        ) from None
     if not (0.0 < t1 < t2 < 1.0):
         raise ValidationError(
             f"thresholds must satisfy 0 < t1 < t2 < 1, got ({t1}, {t2})"

@@ -1,7 +1,8 @@
 """Reference data shared by the test modules: the unmerged 22-answer schema,
 the reference two-component mixture, formal contexts for the FCA tests, and
 oracles kept apart from the code they check: a mixture's log-likelihood
-summed from its pdf, readers for the files the exporters write, a row-by-row scores writer, derivation by position on a
+summed from its pdf, readers for the texts the renderers return, a
+row-by-row scores renderer, derivation by position on a
 context's incidence, and a per-node tree grower, a root-to-leaf predictor
 and a round-based pruner.
 
@@ -10,10 +11,10 @@ the benchmark's tests have a conftest module of their own.
 """
 
 import csv
+import io
 import json
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,9 +146,9 @@ def edge_case_contexts():
             ctx(rows[[0, 1, 0, 2, 1, 1]]), ctx(np.ones((4, 3), dtype=bool))]
 
 
-def read_cxt(path):
-    """A Burmeister file as export_cxt writes it, read by position."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+def read_cxt(text):
+    """A Burmeister context as context_to_cxt renders it, read by position."""
+    lines = text.split("\n")
     assert lines[:2] == ["B", ""] and lines[4] == "", lines[:5]
     n_obj, n_att = int(lines[2]), int(lines[3])
     assert n_obj >= 0 and n_att >= 0
@@ -163,9 +164,9 @@ SCORE_FIELDS = ("raw_sums", "normalized", "score_gmm_cdf", "score_kde_cdf", "sco
 SCORE_COLUMNS = ("raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf", "p_posterior")
 
 
-def write_scores_rows(table, path):
+def scores_rows_text(table):
     """scores.csv built one row at a time from its cells and joined into
-    one string, the byte reference for export_scores_csv."""
+    one string, the reference text for scores_to_csv."""
     lines = [",".join(["case_id", *table.answer_ids, *SCORE_COLUMNS, "category"])]
     values = [getattr(table, field) for field in SCORE_FIELDS]
     categories = [c.name for c in ProbabilityCategory]
@@ -175,14 +176,13 @@ def write_scores_rows(table, path):
         row.extend(format(float(v[i]), ".17g") for v in values)
         row.append(categories[table.category[i]])
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def read_scores_csv(path):
-    """A scores CSV as export_scores_csv writes it, parsed with csv into the
+def read_scores_csv(text):
+    """A scores CSV as scores_to_csv renders it, parsed with csv into the
     ScoreTable fields it holds, plus case_ids, answer_ids and matrix."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
     assert header[0] == "case_id" and header[-6:] == [*SCORE_COLUMNS, "category"], header
     assert rows and all(len(row) == len(header) for row in rows)
     cols = list(zip(*rows))

@@ -21,17 +21,17 @@ from emprob import (
     ProbabilityCategory,
     SILVERMAN_CONVENTIONS,
     build_band_context,
+    context_to_cxt,
     em_fit,
     enumerate_cases,
     enumerate_concepts,
-    export_cxt,
-    export_scores_csv,
-    export_supports_csv,
     fit_report_document,
     mean_weights,
     prepare,
+    scores_to_csv,
     select_component_count,
     silverman_bandwidth,
+    supports_to_csv,
 )
 from reference_data import (
     REFERENCE_GMM,
@@ -224,13 +224,12 @@ def test_criterion_06_low_band_count(reference_score_table, score_table):
         assert abs(fit_ctx.n_objects - 162) <= 2
 
 
-def test_criterion_07_band_supports(reference_score_table, tmp_path):
+def test_criterion_07_band_supports(reference_score_table):
     with criterion(7, "band supports: no-outdoor 145, plus no-bite 128"):
         ctx = build_band_context(reference_score_table, (0.0, 0.1))
         assert support(ctx, "a_2_q6") == 145
         assert support(ctx, "a_2_q4", "a_2_q6") == 128
-        export_supports_csv(ctx, tmp_path / "supports.csv")
-        rows = (tmp_path / "supports.csv").read_text().splitlines()
+        rows = supports_to_csv(ctx).splitlines()
         assert {"a_2_q6,145", "a_2_q4;a_2_q6,128"} <= set(rows)
 
 
@@ -254,7 +253,7 @@ def test_criterion_09_tree_root(tree_full):
 
 
 def test_criterion_10_property_suite(gmm, fitted_gmm, kde, sum_table,
-                                     score_table, tmp_path):
+                                     score_table):
     with criterion(10, "property suite green in under 60s"):
         start = time.perf_counter()
         rng = np.random.default_rng(2024)
@@ -308,17 +307,13 @@ def test_criterion_10_property_suite(gmm, fitted_gmm, kde, sum_table,
             assert set(subset) <= set(down_up)
             assert intent(ctx, down_up) == up
 
-        # serialized artifacts read back bit for bit
-        for i, ctx in enumerate(contexts[:5]):
-            path = tmp_path / f"ctx_{i}.cxt"
-            export_cxt(ctx, path)
-            back = read_cxt(path)
+        # rendered artifacts read back bit for bit
+        for ctx in contexts[:5]:
+            back = read_cxt(context_to_cxt(ctx))
             assert back.objects == ctx.objects
             assert back.attributes == ctx.attributes
             np.testing.assert_array_equal(back.incidence, ctx.incidence)
-        csv_path = tmp_path / "scores.csv"
-        export_scores_csv(score_table, csv_path)
-        parsed = read_scores_csv(csv_path)
+        parsed = read_scores_csv(scores_to_csv(score_table))
         for field in (*SCORE_FIELDS, "category"):
             np.testing.assert_array_equal(getattr(parsed, field), getattr(score_table, field))
 

@@ -60,7 +60,7 @@ def test_empty_questionnaire_yields_one_empty_case():
 
 
 def test_cardinality_is_product_of_per_question_counts(questionnaire, case_set):
-    counts = [q.combination_count() for q in questionnaire.questions]
+    counts = [len(q.combinations()) for q in questionnaire.questions]
     assert counts == [8, 4, 3, 2, 4, 2]
     assert len(case_set) == int(np.prod(counts))
 

@@ -176,7 +176,7 @@ def test_subcommands_write_report_in_parts(tmp_path, capsys, stage_calls):
 
 def test_score_patient_fits_one_mixture(tmp_path, capsys, stage_calls):
     assert main(["--output-dir", str(tmp_path), "score"]) == 0
-    batch = read_scores_csv(tmp_path / "scores.csv")
+    batch = read_scores_csv((tmp_path / "scores.csv").read_text(encoding="utf-8"))
     capsys.readouterr()
     for c in stage_calls.values():
         c.clear()
@@ -340,6 +340,28 @@ def test_malformed_input_exit_2(tmp_path, capsys, flag, content):
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main([flag, str(path), "enumerate"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+NON_REAL_BOUNDS = {
+    # probe -> (config document, command): a band bound or threshold must be
+    # a real number, and a bool or a numeric string is none
+    "bands-booleans": ({"bands": [[False, True]]}, "lattice"),
+    "bands-numeric-strings": ({"bands": [["0", "0.5"]]}, "lattice"),
+    "thresholds-numeric-strings": ({"thresholds": ["1e-1", "5e-1"]}, "score"),
+    "thresholds-boolean": ({"thresholds": [False, 0.5]}, "score"),
+    # and one that is, but does not fit in a float
+    "band-bound-beyond-any-float": ({"bands": [[0, 10**400]]}, "lattice"),
+}
+
+
+@pytest.mark.parametrize("doc, command", NON_REAL_BOUNDS.values(), ids=NON_REAL_BOUNDS)
+def test_non_real_bounds_exit_2_without_output_dir(tmp_path, capsys, doc, command):
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--config", str(tmp_path / "config.json"), "--output-dir", str(out),
+                 command]) == 2
+    assert "real numbers, got" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SHIPPED_WEIGHTS = (Path(emprob.__file__).parent / "data" / "weights.csv").read_text()

@@ -9,7 +9,7 @@ from emprob import (
     build_band_context,
     build_lattice,
     enumerate_concepts,
-    export_supports_csv,
+    supports_to_csv,
 )
 from reference_data import edge_case_contexts, extent, intent, names, random_context, support
 
@@ -191,13 +191,12 @@ def test_band_context_full_range(score_table):
     assert ctx.attributes == score_table.answer_ids
 
 
-def test_band_context_reference_counts(reference_score_table, tmp_path):
+def test_band_context_reference_counts(reference_score_table):
     ctx = build_band_context(reference_score_table, (0.0, 0.1))
     assert ctx.n_objects == 162
     assert support(ctx, "a_2_q6") == 145
     assert support(ctx, "a_2_q4", "a_2_q6") == 128
-    export_supports_csv(ctx, tmp_path / "supports.csv")
-    rows = (tmp_path / "supports.csv").read_text().splitlines()
+    rows = supports_to_csv(ctx).splitlines()
     assert {"a_2_q6,145", "a_2_q4;a_2_q6,128"} <= set(rows)
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import re
 
 import numpy as np
@@ -10,15 +9,14 @@ from emprob import (
     PipelineConfig,
     ValidationError,
     build_lattice,
-    export_cxt,
-    export_density_samples_csv,
-    export_scores_csv,
-    export_supports_csv,
+    context_to_cxt,
+    density_samples_to_csv,
     fit_decision_tree,
     lattice_to_dot,
     prepare,
+    scores_to_csv,
+    supports_to_csv,
     tree_to_dot,
-    write_json,
 )
 from reference_data import (
     SCORE_FIELDS,
@@ -26,7 +24,7 @@ from reference_data import (
     random_context,
     read_cxt,
     read_scores_csv,
-    write_scores_rows,
+    scores_rows_text,
     write_unmerged_inputs,
 )
 
@@ -38,7 +36,7 @@ DIAGONAL = FormalContext(
 
 
 def test_format_float_round_trips():
-    """The writers render floats with the %.17g row template, which
+    """The renderers render floats with the %.17g row template, which
     round-trips any float64."""
     rng = np.random.default_rng(3)
     values = [0.0, 1.0, -1.5, 7.2, 1e-300, 5e-324, 1e300, np.pi, 1 / 3]
@@ -49,15 +47,11 @@ def test_format_float_round_trips():
     assert "%.17g" % 7.2 == "7.2000000000000002"
 
 
-def test_export_cxt_layout(tmp_path):
-    path = tmp_path / "ctx.cxt"
-    export_cxt(DIAGONAL, path)
-    assert path.read_text() == (
-        "B\n\n2\n2\n\ncase_a\ncase_b\ny1\ny2\nX.\n.X\n"
-    )
+def test_context_to_cxt_layout():
+    assert context_to_cxt(DIAGONAL) == "B\n\n2\n2\n\ncase_a\ncase_b\ny1\ny2\nX.\n.X\n"
 
 
-def test_cxt_round_trip(tmp_path):
+def test_cxt_round_trip():
     rng = np.random.default_rng(11)
     contexts = []
     for _ in range(5):
@@ -73,30 +67,26 @@ def test_cxt_round_trip(tmp_path):
         objects=("o1", "o2"), attributes=("y1", " "),
         incidence=np.array([[1, 0], [1, 1]], dtype=bool),
     )
-    for k, ctx in enumerate(contexts + edge_case_contexts() + [blank_name]):
-        path = tmp_path / f"round_{k}.cxt"
-        export_cxt(ctx, path)
-        back = read_cxt(path)
+    for ctx in contexts + edge_case_contexts() + [blank_name]:
+        back = read_cxt(context_to_cxt(ctx))
         assert back.objects == ctx.objects
         assert back.attributes == ctx.attributes
         np.testing.assert_array_equal(back.incidence, ctx.incidence)
 
 
-def test_export_cxt_rejects_newline_in_name(tmp_path):
+def test_context_to_cxt_rejects_newline_in_name():
     bad = FormalContext(
         objects=("one\ntwo",), attributes=("y",),
         incidence=np.ones((1, 1), dtype=bool),
     )
     with pytest.raises(ValidationError):
-        export_cxt(bad, tmp_path / "bad.cxt")
+        context_to_cxt(bad)
 
 
-def test_scores_csv_round_trip(score_table, tmp_path):
-    path = tmp_path / "scores.csv"
-    export_scores_csv(score_table, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1537
-    parsed = read_scores_csv(path)
+def test_scores_csv_round_trip(score_table):
+    text = scores_to_csv(score_table)
+    assert len(text.splitlines()) == 1537
+    parsed = read_scores_csv(text)
     assert parsed.case_ids == tuple(range(1536))
     assert parsed.answer_ids == score_table.answer_ids
     np.testing.assert_array_equal(parsed.matrix, score_table.case_set.matrix)
@@ -104,17 +94,15 @@ def test_scores_csv_round_trip(score_table, tmp_path):
         np.testing.assert_array_equal(getattr(parsed, field), getattr(score_table, field))
 
 
-def test_scores_csv_full_precision(score_table, tmp_path):
-    path = tmp_path / "scores.csv"
-    export_scores_csv(score_table, path)
-    first = path.read_text().splitlines()[1]
+def test_scores_csv_full_precision(score_table):
+    first = scores_to_csv(score_table).splitlines()[1]
     # raw sum of the all-first-answers case is 7.2; the cell must carry all
     # 17 significant digits, not a shortest-repr rendering
     assert ",7.2000000000000002," in first
 
 
 def test_scores_csv_matches_the_row_writer(score_table, tmp_path):
-    """Byte for byte the row-by-row reference writer's file: on the default
+    """Character for character the row-by-row reference text: on the default
     table, on the table of the unmerged inputs merged back, and on raw sums
     that need every digit or print specially."""
     unmerged = prepare(PipelineConfig(**write_unmerged_inputs(tmp_path))).table
@@ -122,10 +110,7 @@ def test_scores_csv_matches_the_row_writer(score_table, tmp_path):
     raw[:6] = (-0.0, 5e-324, 1e-300, 1 / 3, 7.2, -1e16)
     special = dataclasses.replace(score_table, raw_sums=raw)
     for k, table in enumerate((score_table, unmerged, special)):
-        export_scores_csv(table, tmp_path / f"scores_{k}.csv")
-        write_scores_rows(table, tmp_path / f"rows_{k}.csv")
-        written = (tmp_path / f"scores_{k}.csv", tmp_path / f"rows_{k}.csv")
-        assert written[0].read_bytes() == written[1].read_bytes(), k
+        assert scores_to_csv(table) == scores_rows_text(table), k
 
 
 SCORES_HEADER = "case_id,a_1_q1,raw_sum,normalized_sum,p_gmm_cdf,p_kde_cdf,p_posterior,category\n"
@@ -141,19 +126,15 @@ SCORES_HEADER = "case_id,a_1_q1,raw_sum,normalized_sum,p_gmm_cdf,p_kde_cdf,p_pos
     (read_scores_csv, SCORES_HEADER + "0,1,0.5,0.5,abc,0.5,0.5,LOW\n"),
     (read_scores_csv, SCORES_HEADER + "0,1,0.5,0.5,0.5,0.5,0.5,BOGUS\n"),
 ])
-def test_reference_readers_fail_loudly(tmp_path, reader, text):
-    """The round-trip oracles never read a file they cannot parse as
+def test_reference_readers_fail_loudly(reader, text):
+    """The round-trip oracles never read a text they cannot parse as
     something else."""
-    path = tmp_path / "bad"
-    path.write_text(text)
     with pytest.raises((AssertionError, ValueError)):
-        reader(path)
+        reader(text)
 
 
-def test_density_samples_csv(gmm, kde, tmp_path):
-    path = tmp_path / "density.csv"
-    export_density_samples_csv(gmm, kde, path)
-    lines = path.read_text().splitlines()
+def test_density_samples_csv(gmm, kde):
+    lines = density_samples_to_csv(gmm, kde).splitlines()
     assert lines[0] == ("x,gmm_pdf,component_1_pdf,component_2_pdf,"
                         "kde_pdf,p_gmm_cdf,p_kde_cdf,p_posterior")
     assert len(lines) == 1002
@@ -234,25 +215,11 @@ def test_dot_escapes_quotes_in_names():
     assert '\\"hi\\"' in text
 
 
-def test_supports_csv(tmp_path):
+def test_supports_csv():
     ctx = FormalContext(
         objects=("o1", "o2", "o3"),
         attributes=("y1", "y2"),
         incidence=np.array([[1, 1], [0, 1], [0, 1]], dtype=bool),
     )
-    path = tmp_path / "supports.csv"
-    export_supports_csv(ctx, path)
-    assert path.read_text() == (
-        "attributes,support\ny1,1\ny2,3\ny1;y2,1\n"
-    )
+    assert supports_to_csv(ctx) == "attributes,support\ny1,1\ny2,3\ny1;y2,1\n"
 
-
-def test_write_json(tmp_path):
-    path = tmp_path / "doc.json"
-    write_json({"zeta": 1, "alpha": {"b": [1, 2], "a": 0.5}}, path)
-    text = path.read_text()
-    assert text.endswith("\n")
-    assert text.index('"alpha"') < text.index('"zeta"')
-    assert json.loads(text) == {"zeta": 1, "alpha": {"b": [1, 2], "a": 0.5}}
-    write_json({"zeta": 1, "alpha": {"b": [1, 2], "a": 0.5}}, tmp_path / "doc2.json")
-    assert (tmp_path / "doc2.json").read_bytes() == path.read_bytes()

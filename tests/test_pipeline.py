@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import filecmp
@@ -20,6 +21,8 @@ from emprob import (
     build_band_context,
     build_lattice,
     categorize_array,
+    context_to_cxt,
+    density_samples_to_csv,
     em_fit,
     enumerate_cases,
     fit_report_document,
@@ -28,6 +31,9 @@ from emprob import (
     node_count,
     prepare,
     score_patient,
+    scores_to_csv,
+    supports_to_csv,
+    tree_to_dot,
     write_artifacts,
 )
 from reference_data import (
@@ -99,10 +105,24 @@ def test_config_defaults():
     {"prune_alpha": -0.5},
     {"prune_alpha": float("nan")},
     {"band_approach": 0},
+    # a bound is a real number, and a bool or a numeric string is none
+    {"bands": ((False, True),)},
+    {"bands": (("0", "0.5"),)},
+    {"bands": ((0.0, True),)},
+    {"thresholds": ("1e-1", "5e-1")},
+    {"thresholds": (False, 0.5)},
 ])
 def test_config_validation_errors(overrides):
     with pytest.raises(ValidationError):
         PipelineConfig(**overrides)
+
+
+def test_config_takes_numpy_bounds():
+    cfg = PipelineConfig(bands=((np.float64(0.0), np.float32(0.5)), (np.int64(0), 1)),
+                         thresholds=(np.float64(0.25), np.float32(0.5)))
+    assert cfg.bands == ((0.0, 0.5), (0.0, 1.0))
+    assert cfg.thresholds == (0.25, 0.5)
+    assert all(type(v) is float for v in (*cfg.thresholds, *cfg.bands[0], *cfg.bands[1]))
 
 
 def test_config_from_mapping():
@@ -508,6 +528,69 @@ def test_write_artifacts_file_set(result, tmp_path):
         assert p.exists() and p.parent == tmp_path
     listed = {p.name for p in tmp_path.iterdir()}
     assert listed == expected_artifact_names(result.config)
+
+
+def test_written_files_equal_their_renderers_text(result, default_files):
+    """Each default artifact, in the order written, is its renderer's text
+    encoded as UTF-8."""
+    expected = {
+        "scores.csv": scores_to_csv(result.table),
+        "fit_report.json": json.dumps(fit_report_document(result), indent=2, sort_keys=True)
+        + "\n",
+        "density_samples.csv": density_samples_to_csv(result.gmm, result.kde),
+        "tree_full.dot": tree_to_dot(result.tree_full),
+        "tree_pruned.dot": tree_to_dot(result.tree_pruned),
+    }
+    for band, lattice in result.lattices:
+        tag = band_tag(band)
+        expected[f"band_{tag}.cxt"] = context_to_cxt(lattice.context)
+        expected[f"lattice_{tag}.dot"] = lattice_to_dot(lattice)
+        expected[f"supports_{tag}.csv"] = supports_to_csv(lattice.context)
+    assert list(default_files) == list(expected)
+    for name, text in expected.items():
+        assert default_files[name] == text.encode("utf-8"), name
+
+
+def writing_calls(path):
+    """(enclosing function, line) of each call in a module that writes: a
+    write_text, write_bytes or mkdir, or an open whose mode is not read-only
+    (a mode that is not a string constant counts as writing)."""
+    def writes(call):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in {"write_text", "write_bytes", "mkdir"}:
+            return True
+        if name != "open":
+            return False
+        # Path.open(mode, ...) and open(file, mode, ...)
+        position = 0 if isinstance(func, ast.Attribute) else 1
+        modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+        modes += call.args[position : position + 1]
+        if not modes:
+            return False
+        if not (isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)):
+            return True
+        return bool(set(modes[0].value) & set("wax+"))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                yield function, child.lineno
+            yield from visit(child, function)
+
+    return list(visit(ast.parse(path.read_text(encoding="utf-8")), None))
+
+
+def test_only_pipeline_write_writes_files():
+    """pipeline._write is the package's one place that writes a file; the
+    readers in schema open theirs read-only."""
+    package = Path(pipeline.__file__).parent
+    found = {path.name: writing_calls(path) for path in sorted(package.glob("*.py"))}
+    assert [function for function, _ in found.pop("pipeline.py")] == ["_write", "_write"]
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def test_write_artifacts_deterministic(result, tmp_path):

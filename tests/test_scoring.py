@@ -24,7 +24,9 @@ from test_cases import MAX_CASE, MIN_CASE
 
 def test_threshold_validation():
     assert validate_thresholds((0.33, 0.68)) == (0.33, 0.68)
-    for bad in ((0.5, 0.4), (0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.4, 0.4)):
+    assert validate_thresholds((np.float32(0.25), np.float64(0.5))) == (0.25, 0.5)
+    for bad in ((0.5, 0.4), (0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.4, 0.4),
+                ("0.1", "0.5"), (False, 0.5), (0.2, np.bool_(True)), (0.1, 0.2, 0.3)):
         with pytest.raises(ValidationError):
             validate_thresholds(bad)
 
