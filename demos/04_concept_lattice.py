@@ -53,7 +53,7 @@ print(f"support a_2_q6: {ctx.incidence.sum(axis=0)[col['a_2_q6']]}")
 # of lattice.intents
 lattice = build_lattice(ctx)
 print(f"concepts: {len(lattice.intents)}, covering edges: {len(lattice.covers)}")
-n_cases, n_answers = lattice.extents.sum(axis=1), lattice.intents.sum(axis=1)
+n_cases, n_answers = lattice.extent_sizes, lattice.intents.sum(axis=1)
 widest = int((n_cases * n_answers).argmax())
 answers = tuple(a for a, has in zip(ctx.attributes, lattice.intents[widest]) if has)
 print(f"largest rectangle: {n_cases[widest]} cases x {n_answers[widest]} answers {answers}")

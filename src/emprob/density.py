@@ -80,9 +80,19 @@ def _polevl(x: np.ndarray, coefs) -> np.ndarray:
     return y
 
 
+def _libm_exp(v: np.ndarray) -> np.ndarray:
+    """exp of each element with libm's bits, as Cephes takes it: numpy's
+    SIMD exp differs in the last bit.  numpy's complex exp calls the C
+    library's cexp, which numpy does not dispatch by CPU, and glibc's
+    cexp(x + 0i) is exp(x) * cos 0, so its real part is libm's exp(x)."""
+    return np.exp(v.astype(np.complex128)).real
+
+
 def ndtr(a):
     """Standard normal distribution function, elementwise and bit for bit as
-    Cephes ndtr; a 0-d input gives a scalar."""
+    Cephes ndtr; a 0-d input gives a scalar.  exp(-x^2) comes from
+    _libm_exp, which assumes the platform's cexp(x + 0i) equals its exp(x),
+    as glibc's does."""
     a = np.asarray(a, dtype=float)
     x = a * _SQRT1_2
     z = np.abs(x)
@@ -96,8 +106,7 @@ def ndtr(a):
     zi = xi * xi
     out[inner] = 0.5 + 0.5 * (xi * _polevl(zi, _NDTR_T) / _polevl(zi, _NDTR_U))
     w = z[tail]
-    # libm's exp, as in Cephes: numpy's SIMD exp differs in the last bit
-    y = np.fromiter(map(math.exp, memoryview(-(w * w))), float, w.size)
+    y = _libm_exp(-(w * w))
     p, q = _polevl(w, _NDTR_P), _polevl(w, _NDTR_Q)
     far = w >= 8.0
     if far.any():  # only for a below -8 sqrt(2)

@@ -15,8 +15,9 @@ all have empty extents and are never formed.  Covers not seen before form
 the next level, so the walk reaches every concept and every edge of the
 lattice diagram.  One sort then puts the concepts in lectic order of their
 intents.  A ConceptLattice holds the result as arrays: intents (concepts x
-attributes), extents (concepts x objects) and covers (edges x 2, (lower,
-upper) index pairs).
+attributes), the walk's packed extents (concepts x object bytes) and covers
+(edges x 2, (lower, upper) index pairs); bool extent rows are unpacked only
+when asked for.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
 
 
 def _count(words: np.ndarray) -> np.ndarray:
-    """The number of set bits in each row of packed words."""
+    """The number of set bits in each row of packed bytes or words."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.intp)
 
 
@@ -147,22 +148,37 @@ def enumerate_concepts(context: FormalContext) -> tuple[tuple[tuple, tuple], ...
 class ConceptLattice:
     """Concepts plus their covering relation, held as arrays.
 
-    Row k of ``intents`` (K x attributes) and ``extents`` (K x objects) is
-    concept k, in lectic order of the intents, so concept 0 is the top and
-    the last is the bottom.  ``covers`` (E x 2) holds the (lower, upper)
-    index pairs, sorted: the lower concept's extent is contained in the
-    upper's, with no concept strictly between.  ``concepts`` ((extent,
-    intent) pairs) and ``edges`` are the same as tuples, built on first use.
+    Row k of ``intents`` (K x attributes, bool) and ``extent_bits`` (K x
+    max(1, ceil(objects / 8)), uint8) is concept k, in lectic order of the
+    intents, so concept 0 is the top and the last is the bottom.  An extent
+    row is packed as ``_pack`` packs: object 8 j + i is bit i of byte j, and
+    the padding bits are 0.  ``covers`` (E x 2, int32) holds the (lower,
+    upper) index pairs, sorted: the lower concept's extent is contained in
+    the upper's, with no concept strictly between.  ``extent_sizes`` counts
+    each extent's objects from the bits.  ``extents`` (K x objects, bool),
+    ``concepts`` ((extent, intent) pairs) and ``edges`` are the same as bool
+    rows and tuples, built on first use.
     """
 
     context: FormalContext
     intents: np.ndarray
-    extents: np.ndarray
+    extent_bits: np.ndarray
     covers: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.intents, self.extents, self.covers):
+        for a in (self.intents, self.extent_bits, self.covers):
             a.setflags(write=False)
+
+    @property
+    def extent_sizes(self) -> np.ndarray:
+        return _count(self.extent_bits)
+
+    @cached_property
+    def extents(self) -> np.ndarray:
+        rows = np.unpackbits(self.extent_bits, axis=1, count=self.context.n_objects,
+                             bitorder="little").view(bool)
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def concepts(self) -> tuple[tuple[tuple, tuple], ...]:
@@ -253,14 +269,17 @@ def build_lattice(context: FormalContext) -> ConceptLattice:
     order = np.lexsort(intents.T[::-1]) if m else np.arange(len(intents))
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    lower, upper = position[np.concatenate(lowers)], position[np.concatenate(uppers)]
-    edge_order = np.argsort(lower * len(order) + upper, kind="stable")
-    extents = np.concatenate(ext_parts)[order]
+    # the (lower, upper) pairs are distinct, so sorting their keys sorts them
+    k = len(order)
+    edge = np.sort(position[np.concatenate(lowers)] * k + position[np.concatenate(uppers)])
+    # int32 indices: K cannot reach 2**31, since K extents of at least 31
+    # objects (2**31 concepts need that many) would take 8 GiB of bits first
+    covers = np.stack(np.divmod(edge, k), axis=1).astype(np.int32)
     return ConceptLattice(
         context=context,
         intents=intents[order],
-        extents=np.unpackbits(extents, axis=1, count=n, bitorder="little").view(bool),
-        covers=np.stack([lower[edge_order], upper[edge_order]], axis=1),
+        extent_bits=np.concatenate(ext_parts)[order],
+        covers=covers,
     )
 
 

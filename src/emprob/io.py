@@ -91,7 +91,7 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     the labels come from one argmax over the extent sizes; the edges are
     the rows of ``lattice.covers``.
     """
-    sizes = lattice.extents.sum(axis=1)
+    sizes = lattice.extent_sizes
     home = np.where(lattice.intents, sizes[:, None], -1).argmax(axis=0).tolist()
     nodes = list(map('  c%d [label="|extent| = %d"];'.__mod__, enumerate(sizes.tolist())))
     introduced: dict[int, list[str]] = {}

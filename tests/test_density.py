@@ -96,6 +96,21 @@ def test_ndtr_port_shapes():
     assert same_bits(port_ndtr(batch.T), ndtr(batch.T))
 
 
+def test_libm_exp_is_math_exp_bit_for_bit():
+    """ndtr takes exp(-x^2) from the complex exp's real part, which must be
+    libm's exp: even steps over the range ndtr uses, the arguments next to
+    -MAXLOG (the last one ndtr passes), and random ones."""
+    rng = np.random.default_rng(23)
+    edge = -density._MAXLOG
+    v = np.concatenate([
+        np.linspace(-709.8, 0.0, 1_000_001),
+        edge + np.arange(-500, 500) * np.spacing(edge),
+        -rng.exponential(50.0, 200_000),
+        rng.uniform(-709.8, 0.0, 200_000),
+    ])
+    assert same_bits(density._libm_exp(v), np.fromiter(map(math.exp, v), float, v.size))
+
+
 def test_mixture_construction_validation():
     with pytest.raises(ValidationError):
         GaussianMixture(weights=(0.6, 0.6), means=(0.0, 1.0), sigmas=(1.0, 1.0))

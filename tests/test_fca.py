@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from emprob import (
     enumerate_concepts,
     supports_to_csv,
 )
+from emprob.pipeline import DEFAULT_BANDS
 from reference_data import edge_case_contexts, extent, intent, names, random_context, support
 
 DIAGONAL = FormalContext(
@@ -303,3 +305,42 @@ def test_mask_limited_candidates_match_the_definition():
             np.testing.assert_array_equal(lattice.intents, intents)
             np.testing.assert_array_equal(lattice.extents, extents)
             np.testing.assert_array_equal(lattice.covers, covers)
+
+
+def test_packed_extents_and_int32_covers():
+    """Over random, edge-case (no objects, no answers) and mask-rule
+    contexts, most with a number of objects that is not a multiple of 8:
+    extent_bits is one row of _pack's bytes per concept with 0 padding
+    bits, extent_sizes counts each bool extent row, and covers is int32."""
+    rng = np.random.default_rng(29)
+    contexts = [random_context(rng, max_side=10) for _ in range(40)] + edge_case_contexts()
+    for n_obj, n_att in ((0, 5), (7, 0), (12, 6), (40, 9), (70, 8), (20, 70), (90, 80)):
+        inc = rng.random((n_obj, n_att)) < min(0.5, 2.0 / max(n_att, 1))
+        contexts.append(FormalContext(tuple(f"o{i}" for i in range(n_obj)),
+                                      tuple(f"y{j}" for j in range(n_att)), inc))
+    assert {ctx.n_objects % 8 for ctx in contexts} == set(range(8))
+    for ctx in contexts:
+        lattice = build_lattice(ctx)
+        bits, n = lattice.extent_bits, ctx.n_objects
+        assert bits.dtype == np.uint8
+        assert bits.shape == (len(lattice.intents), max(1, -(-n // 8)))
+        assert not np.unpackbits(bits, axis=1, bitorder="little")[:, n:].any()
+        np.testing.assert_array_equal(lattice.extent_sizes, lattice.extents.sum(axis=1))
+        assert lattice.covers.dtype == np.int32
+
+
+def test_default_band_lattices_are_small(score_table):
+    """The ten default band lattices (13,683 concepts, 52,858 edges) keep
+    their extents as the walk's packed bytes: building them retains under
+    1.25 MiB and peaks under 2 MiB, where bool extent rows and 64-bit covers
+    retained over 3 MiB."""
+    contexts = [build_band_context(score_table, band) for band in DEFAULT_BANDS]
+    tracemalloc.start()
+    try:
+        lattices = [build_lattice(ctx) for ctx in contexts]
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(lattice.intents) for lattice in lattices) == 13683
+    assert sum(len(lattice.covers) for lattice in lattices) == 52858
+    assert retained < 1.25 * 2**20 and peak < 2 * 2**20, (retained, peak)

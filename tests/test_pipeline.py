@@ -530,6 +530,14 @@ def test_write_artifacts_file_set(result, tmp_path):
     assert listed == expected_artifact_names(result.config)
 
 
+def test_writing_the_default_run_leaves_the_extents_packed(tmp_path):
+    """The DOT writer reads extent sizes from the packed bits, so writing
+    the default run unpacks no lattice's extents into bool rows."""
+    result = prepare(PipelineConfig())
+    write_artifacts(result, tmp_path)
+    assert [band for band, lattice in result.lattices if "extents" in vars(lattice)] == []
+
+
 def test_written_files_equal_their_renderers_text(result, default_files):
     """Each default artifact, in the order written, is its renderer's text
     encoded as UTF-8."""
