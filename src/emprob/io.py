@@ -15,7 +15,7 @@ import numpy as np
 from emprob.fca import ConceptLattice, FormalContext
 from emprob.schema import ValidationError
 from emprob.scoring import COLUMNS, ProbabilityCategory, ScoreTable, approach_scores
-from emprob.tree import TreeNode
+from emprob.tree import TreeNode, iter_nodes
 
 CATEGORY_NAMES = tuple(c.name for c in ProbabilityCategory)
 
@@ -54,29 +54,24 @@ def tree_to_dot(root: TreeNode) -> str:
     Every node shows its majority category with that category's percentage
     and case count, plus the per-category counts; internal nodes lead with
     the tested answer.  Edges are labeled yes (answer present) and no.
-    Nodes are numbered in preorder during one walk; a parent writes the
-    heads of its two edge lines and each child completes its own.
+    Nodes are numbered in ``iter_nodes`` order.
     """
+    nodes = list(iter_nodes(root))
+    number = {id(node): k for k, node in enumerate(nodes)}
     lines = ["digraph decision_tree {", "  node [shape=box];"]
     edges: list[str] = []
-    stack: list[tuple[TreeNode, int]] = [(root, -1)]  # (node, its edge's index)
-    while stack:
-        node, edge = stack.pop()
-        nid = f"n{len(lines) - 2}"
-        if edge >= 0:
-            edges[edge] += f"{nid} [label={'no' if edge % 2 else 'yes'}];"
-        k, n = node.prediction, node.n_samples
-        c = node.counts[k]
-        majority = f"{CATEGORY_NAMES[k]} {100.0 * c / n:.1f}% ({c} of {n})"
+    for k, node in enumerate(nodes):
+        n, c = node.n_samples, max(node.counts)
+        majority = f"{CATEGORY_NAMES[node.prediction]} {100.0 * c / n:.1f}% ({c} of {n})"
         counts = "counts " + "/".join(str(c) for c in node.counts)
         if node.is_leaf:
             label = _dot_label([majority, counts])
-            lines.append(f"  {nid} [label={label}, style=filled, fillcolor=lightgrey];")
+            lines.append(f"  n{k} [label={label}, style=filled, fillcolor=lightgrey];")
         else:
             label = _dot_label([f"{node.split_answer_id}?", majority, counts])
-            lines.append(f"  {nid} [label={label}];")
-            edges += [f"  {nid} -> "] * 2
-            stack += [(node.false_child, len(edges) - 1), (node.true_child, len(edges) - 2)]
+            lines.append(f"  n{k} [label={label}];")
+            edges += [f"  n{k} -> n{number[id(node.true_child)]} [label=yes];",
+                      f"  n{k} -> n{number[id(node.false_child)]} [label=no];"]
     return "\n".join([*lines, *edges, "}"]) + "\n"
 
 

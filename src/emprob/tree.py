@@ -144,7 +144,8 @@ def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
-    """Preorder traversal."""
+    """Preorder, true child first: the order in which ``io.tree_to_dot``
+    numbers the nodes."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -183,24 +184,17 @@ def prune_tree(root: TreeNode, alpha: float) -> TreeNode:
     # from 1 up, infinity too, collapses every split as alpha = 1 does
     p, q = float(min(alpha, 1)).as_integer_ratio()
     n_total = root.n_samples
-    collapsed = set()
-
-    def cost(node: TreeNode) -> tuple[int, int]:  # (errors, leaves) in T(alpha)
+    # reversed preorder reaches a node after both its subtrees, the false
+    # subtree first, so a split node pops its true child's result off the top
+    # of the stack and its false child's from under it
+    stack: list[tuple[TreeNode, int, int]] = []  # (pruned subtree, errors, leaves)
+    for node in reversed(list(iter_nodes(root))):
         error = node.n_samples - max(node.counts)
-        if node.is_leaf:
-            return error, 1
-        (e_true, l_true), (e_false, l_false) = cost(node.true_child), cost(node.false_child)
-        sub_error, leaves = e_true + e_false, l_true + l_false
-        if q * (error - sub_error) >= p * n_total * (leaves - 1):
-            return sub_error, leaves
-        collapsed.add(id(node))
-        return error, 1
-
-    def copy(node: TreeNode) -> TreeNode:
-        if node.is_leaf or id(node) in collapsed:
-            return TreeNode(node.counts, node.depth)
-        return replace(node, true_child=copy(node.true_child), false_child=copy(node.false_child))
-
-    cost(root)
-    return copy(root)
-
+        if not node.is_leaf:
+            (t, e_true, l_true), (f, e_false, l_false) = stack.pop(), stack.pop()
+            sub_error, leaves = e_true + e_false, l_true + l_false
+            if q * (error - sub_error) >= p * n_total * (leaves - 1):
+                stack.append((replace(node, true_child=t, false_child=f), sub_error, leaves))
+                continue
+        stack.append((TreeNode(node.counts, node.depth), error, 1))
+    return stack.pop()[0]

@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import emprob
@@ -57,6 +58,24 @@ def test_tree(tmp_path, capsys):
     for name in ("tree_full.dot", "tree_pruned.dot"):
         assert (tmp_path / name).exists()
         assert re.search(rf"{name}: \d+ nodes, \d+ leaves, depth \d+", out)
+
+
+def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """One exclusive question of 2,500 answers grows a chain-like tree; at
+    alpha 0 the pruned tree is the full one, file for file."""
+    answers = [f"a{i}" for i in range(2500)]
+    doc = {"questions": [{"id": "q", "label": "q", "mode": "exclusive",
+                          "answers": [{"id": a, "label": a} for a in answers]}]}
+    (tmp_path / "q.json").write_text(json.dumps(doc))
+    weights = np.random.default_rng(0).integers(-4, 13, size=(15, len(answers))) / 4
+    rows = [f"d_{d},{','.join(map(str, row))}" for d, row in enumerate(weights.tolist(), 1)]
+    (tmp_path / "w.csv").write_text("\n".join(["doctor," + ",".join(answers), *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["--questionnaire", str(tmp_path / "q.json"), "--weights", str(tmp_path / "w.csv"),
+                 "--output-dir", str(out), "--prune-alpha", "0", "tree"]) == 0
+    depth = re.search(r"tree_full.dot: \d+ nodes, \d+ leaves, depth (\d+)", capsys.readouterr().out)
+    assert int(depth.group(1)) > sys.getrecursionlimit()
+    assert (out / "tree_full.dot").read_bytes() == (out / "tree_pruned.dot").read_bytes()
 
 
 def test_lattice_with_config_file(tmp_path, capsys):

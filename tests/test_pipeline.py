@@ -601,6 +601,39 @@ def test_only_pipeline_write_writes_files():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def self_calling_functions(path):
+    """Qualified names of the module's functions that call themselves by
+    name, as a plain name or as a method of self or cls."""
+    def calls_itself(function):
+        for node in ast.walk(function):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name) and func.id == function.name:
+                return True
+            if isinstance(func, ast.Attribute) and func.attr == function.name and \
+                    isinstance(func.value, ast.Name) and func.value.id in {"self", "cls"}:
+                return True
+        return False
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef) and calls_itself(child):
+                    yield prefix + child.name
+                yield from visit(child, prefix + child.name + ".")
+            else:
+                yield from visit(child, prefix)
+
+    return list(visit(ast.parse(path.read_text(encoding="utf-8")), ""))
+
+
+def test_no_function_calls_itself():
+    """Every walk in the package is a loop, so no input, however deep its
+    tree, reaches the interpreter's recursion limit."""
+    package = Path(pipeline.__file__).parent
+    found = {path.name: self_calling_functions(path) for path in sorted(package.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {}
+
+
 def test_write_artifacts_deterministic(result, tmp_path):
     first = write_artifacts(result, tmp_path / "a")
     second = write_artifacts(result, tmp_path / "b")

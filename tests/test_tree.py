@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from emprob import (
     tree_depth,
     tree_to_dot,
 )
+from emprob.tree import TreeNode
 from reference_data import (
     gini,
     link_strengths,
@@ -294,3 +296,48 @@ def test_prune_keeps_a_subtree_whose_link_strength_equals_alpha():
         pruned = prune_tree(root, alpha)
         assert node_count(pruned) == nodes, alpha
         assert pruned == reference_prune(root, alpha), alpha
+
+
+def chain(n_splits, top=3):
+    """A hand-built tree of depth n_splits: split d sends a pure LOW leaf to
+    its true child and the rest on, n_splits cases in each of the first
+    ``top`` such leaves and 1 case in the others; the last false child is a
+    MEDIUM leaf, and MEDIUM is every split node's majority."""
+    split_cases = [n_splits] * top + [1] * (n_splits - top)
+    low = sum(split_cases)
+    medium = low + 1
+    root = node = TreeNode((low, medium, 0), 0)
+    for d, k in enumerate(split_cases):
+        low -= k
+        node.split_answer_id = f"a{d}"
+        node.true_child = TreeNode((k, 0, 0), d + 1)
+        node.false_child = TreeNode((low, medium, 0), d + 1)
+        node = node.false_child
+    return root
+
+
+def test_prune_and_render_a_tree_deeper_than_the_recursion_limit():
+    n_splits = sys.getrecursionlimit() + 100
+    root = chain(n_splits)
+    assert (node_count(root), leaf_count(root), tree_depth(root)) == (
+        2 * n_splits + 1, n_splits + 1, n_splits)
+    dot = tree_to_dot(root)
+    assert dot.count("[label=yes]") == dot.count("[label=no]") == n_splits
+    assert f"  n{2 * n_splits - 2} -> n{2 * n_splits} [label=no];" in dot
+
+    same = prune_tree(root, 0.0)
+    assert tree_to_dot(same) == dot
+    assert not {id(n) for n in iter_nodes(same)} & {id(n) for n in iter_nodes(root)}
+
+    # alpha = 0.01 of about 8 * n_splits cases charges 0.08 * n_splits
+    # errors per added leaf: each 1-case split saves one error per leaf and
+    # goes, and each top split saves n_splits and stays
+    top = prune_tree(root, 0.01)
+    splits = [n.split_answer_id for n in iter_nodes(top)]
+    assert splits == ["a0", None, "a1", None, "a2", None, None]
+    assert (top.false_child.false_child.false_child.counts, tree_depth(top)) == (
+        (n_splits - 3, root.counts[1], 0), 3)
+
+    leaf = prune_tree(root, math.inf)
+    assert leaf.is_leaf and (leaf.counts, leaf.depth) == (root.counts, 0)
+    assert tree_to_dot(root) == dot  # the input tree is unchanged
