@@ -13,7 +13,9 @@ components (check_component_count).  Model order can be chosen by
 information criteria; the kernel estimate uses a Gaussian kernel with
 Silverman's bandwidth.  Both work on the distinct values of the sample
 weighted by their counts.  The kernel estimate evaluates its (point, atom)
-grid in blocks of bounded size, the one place that bounds such a grid.
+grid in blocks of whole rows, the one place that bounds such a grid: a
+block's largest temporary, 16 B an entry, stays within 128 KiB (2^13
+entries), so kde.cdf on 10,001 points peaks at 0.81 MiB (tracemalloc).
 
 The normal distribution function both models use, ndtr, is a numpy port of
 Cephes ndtr/erf/erfc (Moshier 1989, Methods and Programs for Mathematical
@@ -511,8 +513,18 @@ def silverman_bandwidth(data) -> float:
     return 0.9 * spread * x.size ** (-1.0 / 5.0)
 
 
-# the most (point, atom) entries a kernel estimate evaluates at once
-_GRID_BLOCK = 1 << 14
+# A kernel estimate evaluates its (point, atom) grid a block of rows at a
+# time, sized by the bytes of the block's largest temporary: the complex128
+# copy through which _libm_exp takes libm's exp, 16 B an entry.  It stays
+# within 128 KiB, so a block holds 2^13 entries (22 rows of the 364 default
+# sums).  Measured on one 2-core x86-64 VM: at 256 KiB (2^14 entries)
+# kde.cdf on a 10,001-point grid peaked at 1.57 MiB under tracemalloc,
+# against 0.81 MiB, and the default report's peak RSS, then set inside
+# write_fit, read 0.66 MiB higher in the benchmark (BENCH_31.json).  64 KiB
+# lowers a bare report process's peak by a further 0.2 MiB, at twice the
+# blocks, each costing about 40 us of fixed overhead.
+_BLOCK_BYTES = 128 << 10
+_BLOCK_ENTRY_BYTES = np.dtype(np.complex128).itemsize
 
 
 # compared by identity: the sample is an init-only value, not a field
@@ -555,13 +567,17 @@ class KernelDensityEstimate:
         return self._n
 
     def _kernel_mean(self, x, kernel):
-        """(1/n) sum_t count_t kernel((x - x_t) / h) at each point of x, a
-        block of at most _GRID_BLOCK (point, atom) entries at a time; each
-        row sums on its own, so the blocks give the bits of one grid."""
+        """(1/n) sum_t count_t kernel((x - x_t) / h) at each point of x.
+
+        pdf and cdf share this loop.  It takes a block of whole rows of the
+        (point, atom) grid at a time, as many as keep the block's largest
+        temporary, 16 B an entry, within _BLOCK_BYTES (at least one row);
+        each row sums on its own, so the blocks give the bits of one grid.
+        """
         x = np.asarray(x, dtype=float)
         points = x.reshape(-1)
         out = np.empty(points.size)
-        rows = max(1, _GRID_BLOCK // self._atoms.size)
+        rows = max(1, _BLOCK_BYTES // (_BLOCK_ENTRY_BYTES * self._atoms.size))
         for i in range(0, points.size, rows):
             k = points[i : i + rows, None] - self._atoms
             with np.errstate(over="ignore"):  # a far tail's kernel is 0 or 1

@@ -30,10 +30,17 @@ _N_LABELS = 3
 _REL = 1e-12
 
 
-@dataclass
+# the generated eq and repr recurse into the children, which fails on a tree
+# deeper than the recursion limit
+@dataclass(eq=False, repr=False)
 class TreeNode:
     """Label counts and depth; a split node also has the answer it tests and
-    the children where that answer is present (true) and absent (false)."""
+    the children where that answer is present (true) and absent (false).
+
+    Two trees are equal when their preorders (iter_nodes) hold the same
+    counts, depths, split answers and leaves; repr shows one node and not
+    its children.
+    """
 
     counts: tuple[int, ...]
     depth: int
@@ -53,6 +60,19 @@ class TreeNode:
     @property
     def n_samples(self) -> int:
         return sum(self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeNode):
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __repr__(self) -> str:
+        return (f"TreeNode(counts={self.counts!r}, depth={self.depth!r}, "
+                f"split_answer_id={self.split_answer_id!r})")
+
+
+def _preorder(root: TreeNode) -> list[tuple]:
+    return [(n.counts, n.depth, n.split_answer_id, n.is_leaf) for n in iter_nodes(root)]
 
 
 def fit_decision_tree(cases: CaseSet, categories: np.ndarray) -> TreeNode:

@@ -537,10 +537,11 @@ def test_kde_pdf_matches_brute_force(kde, sum_table):
     assert (kde.pdf(data) > 0).all()
 
 
-def test_kde_grid_memory_is_bounded(kde):
+def test_kde_grid_memory_is_bounded(kde, monkeypatch):
     # 10,001 points against the 364 distinct sums would be a 29 MB grid at
-    # once; pdf and cdf evaluate it a bounded block of points at a time
+    # once; pdf and cdf evaluate it 22 rows (128 KiB of complex128) at a time
     x = np.linspace(-0.2, 1.2, 10001)
+    grid = x[::10]  # the report's 1,001-point grid
     for f in (kde.pdf, kde.cdf):
         tracemalloc.start()
         try:
@@ -548,9 +549,15 @@ def test_kde_grid_memory_is_bounded(kde):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, (f.__name__, peak)
-        # each row sums on its own, so the blocks give one point's bits
+        assert peak < 2**20, (f.__name__, peak)
+        # each row sums on its own, so the blocks give one point's bits, and
+        # blocks of one row or one block of the whole grid give the same bits
         assert same_bits(values[::997], [f(v) for v in x[::997]])
+        whole = grid.size * kde._atoms.size * density._BLOCK_ENTRY_BYTES
+        for block_bytes in (1, whole):
+            monkeypatch.setattr(density, "_BLOCK_BYTES", block_bytes)
+            assert same_bits(f(grid), values[::10]), (f.__name__, block_bytes)
+        monkeypatch.undo()
 
 
 def test_kde_validation():

@@ -341,3 +341,8 @@ def test_prune_and_render_a_tree_deeper_than_the_recursion_limit():
     leaf = prune_tree(root, math.inf)
     assert leaf.is_leaf and (leaf.counts, leaf.depth) == (root.counts, 0)
     assert tree_to_dot(root) == dot  # the input tree is unchanged
+
+    # comparing and printing walk no deeper than one node either
+    assert same == root == chain(n_splits) and root != top
+    assert root.__eq__(root.counts) is NotImplemented
+    assert repr(root) == f"TreeNode(counts={root.counts}, depth=0, split_answer_id='a0')"
