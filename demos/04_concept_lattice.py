@@ -49,8 +49,8 @@ print(f"... that also saw no tick bite: {both.sum()}")
 print(f"support a_2_q6: {ctx.incidence.sum(axis=0)[col['a_2_q6']]}")
 
 # every concept is a maximal rectangle of the incidence: a case set and
-# the exact attribute set those cases share, row k of lattice.extents and
-# of lattice.intents
+# the exact attribute set those cases share, row k of lattice.extent_bits
+# (packed) and of lattice.intents
 lattice = build_lattice(ctx)
 print(f"concepts: {len(lattice.intents)}, covering edges: {len(lattice.covers)}")
 n_cases, n_answers = lattice.extent_sizes, lattice.intents.sum(axis=1)

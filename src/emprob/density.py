@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -158,9 +159,6 @@ class GaussianMixture:
         object.__setattr__(self, "weights", tuple(float(v) for v in w))
         object.__setattr__(self, "means", tuple(float(v) for v in m))
         object.__setattr__(self, "sigmas", tuple(float(v) for v in s))
-        for name, a in (("_w", w), ("_m", m), ("_s", s)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
     @property
     def n_components(self) -> int:
@@ -170,11 +168,11 @@ class GaussianMixture:
         """Weighted per-component densities phi_k N(x|mu_k, sigma_k), last
         axis indexing components; their sum over that axis is pdf(x)."""
         x = np.asarray(x, dtype=float)
-        return np.exp(_log_components(x, self._w, self._m, self._s))
+        return np.exp(_log_components(x, self.weights, self.means, self.sigmas))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        logc = _log_components(x, self._w, self._m, self._s)
+        logc = _log_components(x, self.weights, self.means, self.sigmas)
         mx = logc.max(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore"):
             out = np.exp(mx[..., 0]) * np.exp(logc - mx).sum(axis=-1)
@@ -184,7 +182,7 @@ class GaussianMixture:
     def cdf(self, x):
         """Mixture distribution function: sum of weighted normal CDFs."""
         x = np.asarray(x, dtype=float)
-        out = (self._w * ndtr((x[..., None] - self._m) / self._s)).sum(axis=-1)
+        out = (self.weights * ndtr((x[..., None] - self.means) / self.sigmas)).sum(axis=-1)
         return out if out.ndim else float(out)
 
     def posterior(self, x, component: int):
@@ -197,7 +195,7 @@ class GaussianMixture:
         if not 0 <= k < self.n_components:
             raise ValidationError(f"component index {k} outside [0, {self.n_components})")
         x = np.asarray(x, dtype=float)
-        logc = _log_components(x, self._w, self._m, self._s)
+        logc = _log_components(x, self.weights, self.means, self.sigmas)
         mx = logc.max(axis=-1, keepdims=True)
         with np.errstate(invalid="ignore"):
             ratios = np.exp(logc - mx)
@@ -225,36 +223,37 @@ class FitReport:
 
 @dataclass(frozen=True)
 class ComponentSelection:
-    """Information-criterion comparison across candidate component counts."""
+    """Information-criterion comparison across candidate fits.  Each best
+    count is the first candidate's with the least criterion; criteria_agree
+    says whether AIC and BIC prefer the same count."""
 
     reports: tuple[FitReport, ...]
-    aic_best_m: int
-    bic_best_m: int
-    criteria_agree: bool
 
-    @classmethod
-    def from_reports(cls, reports: Sequence[FitReport]) -> "ComponentSelection":
-        """Compare candidate fits; bic_best_m minimizes BIC, and
-        criteria_agree says whether AIC prefers the same count."""
-        aic_best = min(reports, key=lambda r: r.aic).n_components
-        bic_best = min(reports, key=lambda r: r.bic).n_components
-        return cls(
-            reports=tuple(reports),
-            aic_best_m=aic_best,
-            bic_best_m=bic_best,
-            criteria_agree=aic_best == bic_best,
-        )
+    @property
+    def aic_best_m(self) -> int:
+        return min(self.reports, key=lambda r: r.aic).n_components
+
+    @property
+    def bic_best_m(self) -> int:
+        return min(self.reports, key=lambda r: r.bic).n_components
+
+    @property
+    def criteria_agree(self) -> bool:
+        return self.aic_best_m == self.bic_best_m
 
 
 def check_component_count(data, n_components: int) -> np.ndarray:
     """The data as a flat float array, checked for an n_components mixture:
-    finite, with at least one component and more distinct values than
-    components.  With as many components as distinct values, each component
-    can collapse onto one value and the likelihood is unbounded (McLachlan &
-    Peel 2000, Finite Mixture Models, sec. 3.8)."""
+    finite, with an integer count (not a bool) of at least one component
+    and more distinct values than components.  With as many components as
+    distinct values, each component can collapse onto one value and the
+    likelihood is unbounded (McLachlan & Peel 2000, Finite Mixture Models,
+    sec. 3.8)."""
     x = np.asarray(data, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValidationError("EM input contains non-finite values")
+    if isinstance(n_components, bool) or not isinstance(n_components, Integral):
+        raise ValidationError(f"n_components must be an integer, got {n_components!r}")
     if n_components < 1:
         raise ValidationError("n_components must be at least 1")
     # counted from a sort: np.unique without counts imports numpy.ma
@@ -364,7 +363,7 @@ def em_fit(data, n_components: int) -> tuple[GaussianMixture, FitReport]:
         One-dimensional finite observations with more distinct values than
         n_components.
     n_components : int
-        Number of mixture components, at least 1.
+        Number of mixture components: an integer, not a bool, of at least 1.
 
     Returns
     -------
@@ -373,8 +372,8 @@ def em_fit(data, n_components: int) -> tuple[GaussianMixture, FitReport]:
         report, whose iterations count cycles.  The reported
         log-likelihood always belongs to the returned parameters.
     """
+    x_sorted = np.sort(check_component_count(data, n_components))
     m = int(n_components)
-    x_sorted = np.sort(check_component_count(data, m))
     atoms, counts = np.unique(x_sorted, return_counts=True)
     counts = counts.astype(float)
 
@@ -455,15 +454,13 @@ def select_component_count(data, *, m_max: int = 4) -> ComponentSelection:
 
     The returned bic_best_m minimizes BIC; when AIC prefers a different
     count the selection is flagged via criteria_agree=False so a caller can
-    decide.  An m_max not below the number of distinct values is rejected
-    before any fit.
+    decide.  An m_max that is not an integer, or not below the number of
+    distinct values, is rejected before any fit.
     """
-    if m_max < 1:
+    if isinstance(m_max, Integral) and m_max < 1:
         raise ValidationError("m_max must be at least 1")
     check_component_count(data, m_max)
-    return ComponentSelection.from_reports(
-        [em_fit(data, m)[1] for m in range(1, m_max + 1)]
-    )
+    return ComponentSelection(tuple(em_fit(data, m)[1] for m in range(1, m_max + 1)))
 
 
 SILVERMAN_CONVENTIONS = {

@@ -16,8 +16,8 @@ the next level, so the walk reaches every concept and every edge of the
 lattice diagram.  One sort then puts the concepts in lectic order of their
 intents.  A ConceptLattice holds the result as arrays: intents (concepts x
 attributes), the walk's packed extents (concepts x object bytes) and covers
-(edges x 2, (lower, upper) index pairs); bool extent rows are unpacked only
-when asked for.
+(edges x 2, (lower, upper) index pairs); the extents are unpacked only into
+the index tuples of ``concepts``, when those are asked for.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _fold(table: np.ndarray, extents: np.ndarray, op: np.ufunc) -> np.ndarray:
 
 
 def _indices(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """Each bool row as the ascending tuple of its True columns."""
+    """Each bool or 0/1 row as the ascending tuple of its nonzero columns."""
     nz, pos = np.nonzero(rows)
     ends = np.cumsum(np.bincount(nz, minlength=len(rows))).tolist()
     pos = pos.tolist()
@@ -155,9 +155,9 @@ class ConceptLattice:
     the padding bits are 0.  ``covers`` (E x 2, int32) holds the (lower,
     upper) index pairs, sorted: the lower concept's extent is contained in
     the upper's, with no concept strictly between.  ``extent_sizes`` counts
-    each extent's objects from the bits.  ``extents`` (K x objects, bool),
-    ``concepts`` ((extent, intent) pairs) and ``edges`` are the same as bool
-    rows and tuples, built on first use.
+    each extent's objects from the bits.  ``concepts`` ((extent, intent)
+    pairs of index tuples) and ``edges`` are the same as tuples, built on
+    first use.
     """
 
     context: FormalContext
@@ -174,15 +174,10 @@ class ConceptLattice:
         return _count(self.extent_bits)
 
     @cached_property
-    def extents(self) -> np.ndarray:
-        rows = np.unpackbits(self.extent_bits, axis=1, count=self.context.n_objects,
-                             bitorder="little").view(bool)
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
     def concepts(self) -> tuple[tuple[tuple, tuple], ...]:
-        return tuple(zip(_indices(self.extents), _indices(self.intents)))
+        extents = np.unpackbits(self.extent_bits, axis=1, count=self.context.n_objects,
+                                bitorder="little")
+        return tuple(zip(_indices(extents), _indices(self.intents)))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -185,8 +185,8 @@ class PipelineResult:
     @cached_property
     def selection(self) -> ComponentSelection:
         check_component_count(self.sum_table.normalized, self.config.m_max)
-        return ComponentSelection.from_reports(
-            [self.mixture(m)[1] for m in range(1, self.config.m_max + 1)]
+        return ComponentSelection(
+            tuple(self.mixture(m)[1] for m in range(1, self.config.m_max + 1))
         )
 
     @cached_property

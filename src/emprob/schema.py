@@ -88,9 +88,8 @@ class Question:
 
     @property
     def selectable_answer_ids(self) -> tuple[str, ...]:
-        """Non-none answers for multi-select; all answers for exclusive."""
-        if self.mode is QuestionMode.EXCLUSIVE:
-            return tuple(a.id for a in self.answers)
+        """The answers besides the none option: for an exclusive question,
+        which has none, every answer."""
         return tuple(a.id for a in self.answers if a.id != self.none_answer_id)
 
     def combinations(self) -> list[tuple[str, ...]]:

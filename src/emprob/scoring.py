@@ -22,7 +22,7 @@ single-case row alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from numbers import Real
 from typing import Any, Iterable
@@ -117,8 +117,9 @@ def _check_scores(scores) -> None:
 class ScoreTable:
     """Scores for every case of a weight-sum table, rows in canonical order.
 
-    The category column is the approach-1 (gmm_cdf) category under the
-    stored thresholds.
+    The category column is computed on construction: the approach-1
+    (gmm_cdf) category under the table's thresholds.  Every column is
+    read-only.
     """
 
     case_set: CaseSet
@@ -127,15 +128,20 @@ class ScoreTable:
     score_gmm_cdf: np.ndarray
     score_kde_cdf: np.ndarray
     score_posterior: np.ndarray
-    category: np.ndarray
     thresholds: tuple[float, float]
+    category: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.raw_sums.size
-        for name in (*(field for _, field in COLUMNS), "category"):
+        names = [name for _, name in COLUMNS]
+        for name in names:
             if getattr(self, name).shape != (n,):
                 raise ValidationError(f"{name} length does not match raw_sums")
         _check_scores(self.scores_by_approach(approach) for approach in APPROACHES)
+        object.__setattr__(self, "category",
+                           categorize_array(self.score_gmm_cdf, self.thresholds))
+        for name in (*names, "category"):
+            getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.raw_sums.size)
@@ -168,7 +174,7 @@ def elicit_probabilities(
     p1, p2, p3 = (s[inverse] for s in approach_scores(gmm, kde, atoms))
     return ScoreTable(case_set=table.case_set, raw_sums=table.raw_sums, normalized=x,
                       score_gmm_cdf=p1, score_kde_cdf=p2, score_posterior=p3,
-                      category=categorize_array(p1, thresholds), thresholds=thresholds)
+                      thresholds=thresholds)
 
 
 def score_patient(

@@ -11,6 +11,7 @@ from emprob import (
     Questionnaire,
     ValidationError,
     WeightMatrix,
+    WeightSumTable,
     canonical_index,
     enumerate_cases,
     load_questionnaire,
@@ -205,6 +206,18 @@ def test_normalize_sums_errors(case_set, weight_matrix):
         table([], enumerate_cases(Questionnaire(questions=(), merge_rules=())))
     with pytest.raises(ValidationError, match="non-finite"):
         table(np.r_[np.nan, weight_matrix.values[0, 1:]])
+
+
+@pytest.mark.parametrize("raw, normalized, fault", [
+    (np.zeros(2), np.zeros(3), "equal-length vectors"),
+    (np.zeros((1, 2)), np.zeros((1, 2)), "equal-length vectors"),
+    (np.zeros(2), np.array([0.0, 1.5]), r"must lie in \[0, 1\]"),
+    (np.zeros(2), np.array([-0.5, 1.0]), r"must lie in \[0, 1\]"),
+], ids=["lengths", "2-d", "above", "below"])
+def test_weight_sum_table_rejects_malformed_sums(raw, normalized, fault):
+    one_case = enumerate_cases(Questionnaire(questions=(), merge_rules=()))
+    with pytest.raises(ValidationError, match=fault):
+        WeightSumTable(raw, normalized, 0.0, 1.0, one_case)
 
 
 def test_weight_sum_table_carries_case_set(case_set, sum_table):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtr
 
 from emprob import (
+    ComponentSelection,
     GaussianMixture,
     KernelDensityEstimate,
     ValidationError,
@@ -120,6 +122,17 @@ def test_mixture_construction_validation():
         GaussianMixture(weights=(1.0,), means=(0.0,), sigmas=(0.0,))
     with pytest.raises(ValidationError):
         GaussianMixture(weights=(0.5, 0.5), means=(1.0, 0.0), sigmas=(1.0, 1.0))
+    faults = {  # expected message -> (weights, means, sigmas)
+        "1-d and equal length": ((0.5, 0.5), (0.0, 1.0), (1.0,)),
+        "at least one component": ((), (), ()),
+        "must be finite": ((1.0,), (np.nan,), (1.0,)),
+    }
+    for fault, (w, m, s) in faults.items():
+        with pytest.raises(ValidationError, match=fault):
+            GaussianMixture(weights=w, means=m, sigmas=s)
+    for k in (-1, 1):
+        with pytest.raises(ValidationError, match=r"component index -?1 outside \[0, 1\)"):
+            STANDARD_NORMAL.posterior(0.0, k)
 
 
 def test_pdf_standard_normal_peak():
@@ -407,6 +420,15 @@ def test_em_errors():
         em_fit(np.array([1.0, np.inf, 2.0]), 1)
     with pytest.raises(ValidationError):
         em_fit(np.array([1.0, 2.0, 3.0]), 0)
+    with pytest.raises(ValidationError, match="m_max must be at least 1"):
+        select_component_count(np.array([1.0, 2.0, 3.0]), m_max=0)
+    # a mixture size is an integer and not a bool; numpy integers pass
+    for bad in (2.5, "2", True, np.float64(2.0)):
+        with pytest.raises(ValidationError, match="n_components must be an integer"):
+            em_fit(np.array([1.0, 2.0, 3.0, 4.0]), bad)
+        with pytest.raises(ValidationError, match="n_components must be an integer"):
+            select_component_count(np.array([1.0, 2.0, 3.0, 4.0]), m_max=bad)
+    assert em_fit(np.array([1.0, 2.0, 3.0, 4.0]), np.int64(2))[1].n_components == 2
     # k = 3 distinct values, 40 times each: with one component per value
     # the likelihood is unbounded, so m = k is rejected and m = k - 1 fits
     x = np.repeat([0.1, 0.5, 0.9], 40)
@@ -455,6 +477,12 @@ def test_select_component_count_two_clusters():
     assert sel.aic_best_m == 2
     assert sel.bic_best_m == 2
     assert sel.criteria_agree
+    # the criteria are read off the reports, and a tie goes to the first
+    tied = [dataclasses.replace(r, aic=r.n_components % 2, bic=0.0) for r in sel.reports[::-1]]
+    sel = ComponentSelection(tuple(tied))
+    assert (sel.aic_best_m, sel.bic_best_m, sel.criteria_agree) == (4, 4, True)
+    sel = ComponentSelection(tuple(tied[1:]))
+    assert (sel.aic_best_m, sel.bic_best_m, sel.criteria_agree) == (2, 3, False)
 
 
 def test_silverman_reference_bandwidth(sum_table):
@@ -503,6 +531,8 @@ def test_silverman_errors():
         silverman_bandwidth(np.array([1.0]))
     with pytest.raises(ValidationError):
         silverman_bandwidth(np.full(50, 3.25))
+    with pytest.raises(ValidationError, match="non-finite"):
+        silverman_bandwidth(np.array([0.1, np.inf, 0.3]))
 
 
 def test_kde_single_point():
@@ -565,3 +595,5 @@ def test_kde_validation():
         KernelDensityEstimate(data=(), bandwidth=1.0)
     with pytest.raises(ValidationError):
         KernelDensityEstimate(data=(0.0,), bandwidth=0.0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        KernelDensityEstimate(data=(0.0, np.nan), bandwidth=1.0)

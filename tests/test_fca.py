@@ -22,6 +22,12 @@ DIAGONAL = FormalContext(
 )
 
 
+def extent_rows(lattice):
+    """The lattice's packed extents unpacked into 0/1 rows over the objects."""
+    return np.unpackbits(lattice.extent_bits, axis=1, count=lattice.context.n_objects,
+                         bitorder="little")
+
+
 def brute_force_concepts(ctx):
     """All (extent, intent) position pairs via closure of every attribute
     subset."""
@@ -38,6 +44,9 @@ def test_context_validation():
         FormalContext(objects=("o",), attributes=("y",), incidence=np.eye(2, dtype=bool))
     with pytest.raises(ValidationError):
         FormalContext(objects=("o", "o"), attributes=("y", "z"),
+                      incidence=np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValidationError, match="duplicate attribute names"):
+        FormalContext(objects=("o", "p"), attributes=("y", "y"),
                       incidence=np.zeros((2, 2), dtype=bool))
 
 
@@ -279,7 +288,7 @@ def test_wide_sparse_contexts_match_the_definition():
         intents, extents, covers = reference_lattice(ctx)
         lattice = build_lattice(ctx)
         np.testing.assert_array_equal(lattice.intents, intents)
-        np.testing.assert_array_equal(lattice.extents, extents)
+        np.testing.assert_array_equal(extent_rows(lattice), extents)
         np.testing.assert_array_equal(lattice.covers, covers)
         assert lattice.edges == tuple(map(tuple, covers.tolist()))
 
@@ -303,7 +312,7 @@ def test_mask_limited_candidates_match_the_definition():
             intents, extents, covers = reference_lattice(ctx)
             lattice = build_lattice(ctx)
             np.testing.assert_array_equal(lattice.intents, intents)
-            np.testing.assert_array_equal(lattice.extents, extents)
+            np.testing.assert_array_equal(extent_rows(lattice), extents)
             np.testing.assert_array_equal(lattice.covers, covers)
 
 
@@ -325,7 +334,7 @@ def test_packed_extents_and_int32_covers():
         assert bits.dtype == np.uint8
         assert bits.shape == (len(lattice.intents), max(1, -(-n // 8)))
         assert not np.unpackbits(bits, axis=1, bitorder="little")[:, n:].any()
-        np.testing.assert_array_equal(lattice.extent_sizes, lattice.extents.sum(axis=1))
+        np.testing.assert_array_equal(lattice.extent_sizes, extent_rows(lattice).sum(axis=1))
         assert lattice.covers.dtype == np.int32
 
 

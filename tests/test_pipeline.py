@@ -530,12 +530,43 @@ def test_write_artifacts_file_set(result, tmp_path):
     assert listed == expected_artifact_names(result.config)
 
 
+def stored_arrays(obj, path, seen):
+    """(path, array) for every numpy array stored on obj: the instance
+    attributes of the package's objects, walked through tuples, lists and
+    dicts.  A property that computes a fresh array stores nothing."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+        return
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from stored_arrays(item, f"{path}[{i}]", seen)
+    elif isinstance(obj, dict):
+        for key, item in obj.items():
+            yield from stored_arrays(item, f"{path}[{key!r}]", seen)
+    elif type(obj).__module__.startswith("emprob."):
+        for name, item in vars(obj).items():
+            yield from stored_arrays(item, f"{path}.{name}", seen)
+
+
+def test_every_stored_array_of_a_prepared_result_is_read_only(result):
+    """No stage's array can be written through: a write to the score
+    table's category would change the tree and lattices built after it."""
+    arrays = dict(stored_arrays(result, "result", set()))
+    assert {"result.table.category", "result.table.score_gmm_cdf", "result.case_set.matrix",
+            "result.kde._atoms", "result.kde._counts", "result.lattices[9][1].extent_bits",
+            "result.lattices[9][1].context.incidence"} <= set(arrays)
+    assert [path for path, a in arrays.items() if a.flags.writeable] == []
+
+
 def test_writing_the_default_run_leaves_the_extents_packed(tmp_path):
     """The DOT writer reads extent sizes from the packed bits, so writing
-    the default run unpacks no lattice's extents into bool rows."""
+    the default run unpacks no lattice's extents: none builds its concepts."""
     result = prepare(PipelineConfig())
     write_artifacts(result, tmp_path)
-    assert [band for band, lattice in result.lattices if "extents" in vars(lattice)] == []
+    assert [band for band, lattice in result.lattices if "concepts" in vars(lattice)] == []
 
 
 def test_written_files_equal_their_renderers_text(result, default_files):

@@ -8,9 +8,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from emprob import (
     AnswerOption,
+    AnswerWeightVector,
     MergeRule,
+    Question,
     QuestionMode,
     ValidationError,
+    WeightMatrix,
     default_questionnaire,
     default_weight_matrix,
     load_questionnaire,
@@ -79,6 +82,27 @@ def test_question_validation():
     doc["questions"][0]["none_answer_id"] = "a1"
     q = load_questionnaire(doc)
     assert q.questions[0].selectable_answer_ids == ("a2",)
+    # an exclusive question has no none option: every answer is selectable
+    exclusive = Question("q2", "", QuestionMode.EXCLUSIVE, q.questions[0].answers)
+    assert exclusive.selectable_answer_ids == ("a1", "a2")
+    with pytest.raises(KeyError):
+        q.question_of_answer("a3")
+    faults = {  # expected message -> questions
+        "empty answer list": [{"id": "q1", "answers": []}],
+        "at least one answer besides the none option": [
+            {"id": "q1", "mode": "multi_select_with_exclusive_none", "none_answer_id": "a1",
+             "answers": [{"id": "a1", "label": "No"}]}],
+        "only applies to multi-select questions": [
+            {"id": "q1", "none_answer_id": "a1", "answers": [{"id": "a1", "label": "No"}]}],
+        "duplicate question ids": [{"id": "q1", "answers": [{"id": "a1", "label": ""}]},
+                                   {"id": "q1", "answers": [{"id": "a2", "label": ""}]}],
+        "duplicate answer ids across questions": [
+            {"id": "q1", "answers": [{"id": "a1", "label": ""}]},
+            {"id": "q2", "answers": [{"id": "a1", "label": ""}]}],
+    }
+    for fault, questions in faults.items():
+        with pytest.raises(ValidationError, match=fault):
+            load_questionnaire({"questions": questions})
 
 
 def test_duplicate_answer_ids_rejected():
@@ -118,6 +142,14 @@ def test_validate_weights_errors(questionnaire, weight_matrix):
     bad[2, 5] = np.nan
     wm = dataclasses.replace(weight_matrix, values=bad)
     with pytest.raises(ValidationError):
+        validate_weights(wm, questionnaire)
+    # a column the questionnaire lacks
+    wm = dataclasses.replace(
+        weight_matrix,
+        answer_ids=(*weight_matrix.answer_ids, "extra"),
+        values=np.column_stack([weight_matrix.values, weight_matrix.values[:, 0]]),
+    )
+    with pytest.raises(ValidationError, match=r"unknown answers: \['extra'\]"):
         validate_weights(wm, questionnaire)
 
 
@@ -179,6 +211,12 @@ def test_merge_answers_errors(questionnaire, weight_matrix):
             {"source_answer_ids": ["nope"], "merged_answer": {"id": "m", "label": "m"}},
             questionnaire,
         )
+    with pytest.raises(ValidationError, match="missing field 'merged_answer'"):
+        parse_merge_rule({"source_answer_ids": ["a_3_q1", "a_4_q1"]}, questionnaire)
+    for sources, fault in ((("a_3_q1",), "at least two source answers"),
+                           (("a_3_q1", "a_3_q1"), "lists a source answer twice")):
+        with pytest.raises(ValidationError, match=fault):
+            MergeRule(sources, AnswerOption("m", "m"))
     # the message names the sources as written, also those the questionnaire
     # lacks, next to an earlier rule's merged answer or not
     rules = {
@@ -250,7 +288,8 @@ def test_load_weight_matrix_round_trip(tmp_path, weight_matrix):
         d + "," + ",".join(repr(float(v)) for v in row)
         for d, row in zip(weight_matrix.doctors, weight_matrix.values)
     ]
-    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    # a blank row is skipped
+    path.write_text("\n".join([header, *rows[:3], "", *rows[3:]]) + "\n", encoding="utf-8")
     loaded = load_weight_matrix(path)
     assert loaded.doctors == weight_matrix.doctors
     assert loaded.answer_ids == weight_matrix.answer_ids
@@ -276,3 +315,18 @@ def test_doctor_count_configurable(questionnaire, weight_matrix):
     assert_allclose(
         [mv.value(a) for a in wm.answer_ids], weight_matrix.values[:7].mean(axis=0)
     )
+
+
+@pytest.mark.parametrize("build, fault", [
+    (lambda: WeightMatrix(("d", "d"), ("a",), np.zeros((2, 1))), "duplicate doctor ids"),
+    (lambda: WeightMatrix(("d",), ("a", "a"), np.zeros((1, 2))),
+     "duplicate answer ids in weight matrix"),
+    (lambda: WeightMatrix(("d",), ("a", "b"), np.zeros((1, 3))),
+     re.escape("weight matrix shape (1, 3) does not match 1 doctors x 2 answers")),
+    (lambda: AnswerWeightVector(("a",), np.zeros(2), 1), "length mismatch"),
+    (lambda: AnswerWeightVector(("a",), np.zeros(1), 0), "need at least one doctor"),
+    (lambda: mean_weights(WeightMatrix((), ("a",), np.zeros((0, 1)))), "empty doctor list"),
+], ids=["doctors", "answers", "shape", "totals", "n_doctors", "mean"])
+def test_weight_containers_reject_malformed_input(build, fault):
+    with pytest.raises(ValidationError, match=fault):
+        build()

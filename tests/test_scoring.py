@@ -57,6 +57,10 @@ def test_score_table_ranges_and_category_column(score_table):
         assert s.shape == (1536,)
         assert (s >= 0).all() and (s <= 1).all()
     assert_array_equal(score_table.category, categorize_array(score_table.score_gmm_cdf))
+    # the category column follows the table's own thresholds
+    other = dataclasses.replace(score_table, thresholds=(0.2, 0.9))
+    assert_array_equal(other.category, categorize_array(score_table.score_gmm_cdf, (0.2, 0.9)))
+    assert (other.category != score_table.category).any()
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.001, 1.001])
@@ -66,6 +70,12 @@ def test_score_table_rejects_a_score_outside_the_unit_interval(score_table, fiel
     scores[7] = bad
     with pytest.raises(ValidationError, match="scores outside"):
         dataclasses.replace(score_table, **{field: scores})
+
+
+@pytest.mark.parametrize("field", [field for _, field in COLUMNS[1:]])
+def test_score_table_rejects_a_column_of_another_length(score_table, field):
+    with pytest.raises(ValidationError, match=f"{field} length does not match raw_sums"):
+        dataclasses.replace(score_table, **{field: getattr(score_table, field)[1:]})
 
 
 def test_scores_by_approach_mapping(score_table):

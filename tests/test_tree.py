@@ -133,6 +133,18 @@ def test_non_integer_labels_rejected(labels):
         grow(np.eye(2, 3, dtype=bool), np.array(labels))
 
 
+@pytest.mark.parametrize("labels, answer_ids, fault", [
+    ([0, 1], ("f0", "f1"), "matrix shape does not match answer ids"),
+    ([0], IDS3, "labels length does not match matrix rows"),
+    ([[0, 1]], IDS3, "labels length does not match matrix rows"),
+    ([0, 3], IDS3, r"labels must lie in \[0, 3\)"),
+    ([-1, 0], IDS3, r"labels must lie in \[0, 3\)"),
+], ids=["answers", "rows", "2-d", "above", "below"])
+def test_malformed_tree_inputs_rejected(labels, answer_ids, fault):
+    with pytest.raises(ValidationError, match=fault):
+        grow(np.eye(2, 3, dtype=bool), np.array(labels), answer_ids)
+
+
 def test_random_trees_match_reference():
     rng = np.random.default_rng(16)
     for _ in range(150):
