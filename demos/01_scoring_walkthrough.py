@@ -57,12 +57,12 @@ print(f"kernel bandwidth: {kde.bandwidth:.6f}")
 # three scores per case: mixture CDF, kernel CDF, and the posterior of the
 # higher-mean (ill) component; a two-threshold split labels each case
 scores = elicit_probabilities(table, gmm, kde)
-top = int(np.argmax(scores.normalized))
-bottom = int(np.argmin(scores.normalized))
+top = int(np.argmax(table.normalized))
+bottom = int(np.argmin(table.normalized))
 print("\ncase     normalized  p_gmm_cdf  p_kde_cdf  p_posterior  category")
 for i in (bottom, 0, top):
     print(
-        f"c{i:<7d} {scores.normalized[i]:>10.4f} "
+        f"c{i:<7d} {table.normalized[i]:>10.4f} "
         f"{scores.score_gmm_cdf[i]:>10.4f} {scores.score_kde_cdf[i]:>10.4f} "
         f"{scores.score_posterior[i]:>12.4f}  "
         f"{('LOW', 'MEDIUM', 'HIGH')[scores.category[i]]}"

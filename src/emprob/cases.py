@@ -7,12 +7,14 @@ non-empty subset of the symptom answers.  Cases are
 ordered canonically: questions vary like mixed-radix digits with the first
 question most significant, each question running through its combinations in
 canonical order (answer-list order for exclusive questions; none first, then
-symptom subsets in binary-counting order).
+symptom subsets in binary-counting order).  A ``WeightSumTable`` takes only
+the raw sums and derives their normalization, so it cannot disagree with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -78,8 +80,9 @@ class CaseSet:
 
     def case(self, index: int) -> CaseVector:
         """The case at a canonical index; the inverse of canonical_index."""
-        if not 0 <= index < len(self):
-            raise ValidationError(f"case index {index} outside [0, {len(self)})")
+        n = len(self)
+        if isinstance(index, bool) or not isinstance(index, Integral) or not 0 <= index < n:
+            raise ValidationError(f"case index must be an integer in [0, {n}), got {index!r}")
         row = self.matrix[index]
         return CaseVector(
             true_answers=frozenset(a for a, v in zip(self.answer_ids, row) if v)
@@ -93,28 +96,35 @@ def enumerate_cases(questionnaire: Questionnaire) -> CaseSet:
 
 @dataclass(frozen=True)
 class WeightSumTable:
-    """Raw and min-max normalized weight sums, with the bounds kept for the
-    fit report."""
+    """Per-case weight sums in canonical order and their min-max
+    normalization onto [0, 1], derived on construction: the minimum maps to
+    0 and the maximum to 1, and the fit report records both bounds.  Fewer
+    than two sums, a non-finite sum, or all sums equal is an error, since
+    the affine map is then undefined."""
 
     raw_sums: np.ndarray
-    normalized: np.ndarray
-    raw_min: float
-    raw_max: float
     case_set: CaseSet
+    raw_min: float = field(init=False)
+    raw_max: float = field(init=False)
+    normalized: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.raw_sums, dtype=float)
-        norm = np.asarray(self.normalized, dtype=float)
-        if raw.shape != norm.shape or raw.ndim != 1:
-            raise ValidationError("raw and normalized sums must be equal-length vectors")
-        if norm.size and (norm.min() < 0.0 or norm.max() > 1.0):
-            raise ValidationError("normalized sums must lie in [0, 1]")
-        if len(self.case_set) != raw.size:
+        if raw.shape != (len(self.case_set),):
             raise ValidationError("case set size does not match sums")
-        for a in (raw, norm):
+        if raw.size < 2:
+            raise ValidationError("normalization needs at least two sums")
+        if not np.all(np.isfinite(raw)):
+            raise ValidationError("sums contain non-finite values")
+        lo, hi = float(raw.min()), float(raw.max())
+        if hi == lo:
+            raise ValidationError("cannot normalize: all case sums identical")
+        normalized = (raw - lo) / (hi - lo)
+        for a in (raw, normalized):
             a.setflags(write=False)
-        object.__setattr__(self, "raw_sums", raw)
-        object.__setattr__(self, "normalized", norm)
+        for name, value in (("raw_sums", raw), ("raw_min", lo), ("raw_max", hi),
+                            ("normalized", normalized)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return int(self.raw_sums.size)
@@ -122,29 +132,10 @@ class WeightSumTable:
 
 def weight_sum_table(case_set: CaseSet, weights: AnswerWeightVector) -> WeightSumTable:
     """Per-case sums of the mean weights of the true answers, in canonical
-    order, with their min-max normalization onto [0, 1].
-
-    The minimum maps to 0 and the maximum to 1; the bounds are stored in the
-    table.  Fewer than two sums, a non-finite sum, or all sums equal is an
-    error, since the affine map is then undefined.
-    """
+    order, as a ``WeightSumTable`` that normalizes them."""
     if tuple(weights.answer_ids) != tuple(case_set.answer_ids):
         raise ValidationError("weight vector answer order differs from case set")
     # the totals of quarter-point weights add up exactly, so each sum is one
     # correctly rounded division of its exact total
-    raw = (case_set.matrix * weights.totals).sum(axis=1) / weights.n_doctors
-    if raw.size < 2:
-        raise ValidationError("normalization needs at least two sums")
-    if not np.all(np.isfinite(raw)):
-        raise ValidationError("sums contain non-finite values")
-    lo = float(raw.min())
-    hi = float(raw.max())
-    if hi == lo:
-        raise ValidationError("cannot normalize: all case sums identical")
-    return WeightSumTable(
-        raw_sums=raw,
-        normalized=(raw - lo) / (hi - lo),
-        raw_min=lo,
-        raw_max=hi,
-        case_set=case_set,
-    )
+    return WeightSumTable((case_set.matrix * weights.totals).sum(axis=1) / weights.n_doctors,
+                          case_set)

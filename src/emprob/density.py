@@ -552,7 +552,6 @@ class KernelDensityEstimate:
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "_atoms", atoms)
         object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_n", x.size)
 
     @classmethod
     def from_data(cls, data) -> "KernelDensityEstimate":
@@ -561,7 +560,7 @@ class KernelDensityEstimate:
 
     @property
     def n_points(self) -> int:
-        return self._n
+        return int(self._counts.sum())
 
     def _kernel_mean(self, x, kernel):
         """(1/n) sum_t count_t kernel((x - x_t) / h) at each point of x.
@@ -582,7 +581,7 @@ class KernelDensityEstimate:
                 k = kernel(k)
             k *= self._counts
             out[i : i + rows] = k.sum(axis=-1)
-        out = out.reshape(x.shape) / self._n
+        out = out.reshape(x.shape) / self.n_points
         return out if out.ndim else float(out)
 
     def pdf(self, x):

@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from emprob.schema import ValidationError
+from emprob.scoring import validate_band
 
 
 @dataclass(frozen=True)
@@ -290,9 +291,7 @@ def build_band_context(table, band: tuple[float, float], approach: int = 1) -> F
     ``table`` is a ScoreTable; ``approach`` picks the score: 1 = gmm_cdf,
     2 = kde_cdf, 3 = posterior.
     """
-    lo, hi = (float(b) for b in band)
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValidationError(f"band must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
+    lo, hi = validate_band(band)
     scores = table.scores_by_approach(approach)
     mask = (scores >= lo) & (scores < hi)
     if hi == 1.0:
@@ -300,6 +299,6 @@ def build_band_context(table, band: tuple[float, float], approach: int = 1) -> F
     idx = np.flatnonzero(mask)
     return FormalContext(
         objects=tuple(f"c{i}" for i in idx),
-        attributes=table.answer_ids,
+        attributes=table.case_set.answer_ids,
         incidence=table.case_set.matrix[idx],
     )

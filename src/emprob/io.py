@@ -107,13 +107,14 @@ def scores_to_csv(table: ScoreTable) -> str:
     """Render one row per case: case_id, answer indicators (0/1), the
     ``COLUMNS`` (raw and normalized sums, the three scores), and the
     category."""
-    header = ["case_id", *table.answer_ids, *(column for column, _ in COLUMNS), "category"]
-    width = 2 * len(table.answer_ids)
+    header = ["case_id", *table.case_set.answer_ids, *COLUMNS, "category"]
+    width = 2 * len(table.case_set.answer_ids)
     # each row's indicator cells, "0," or "1," per answer
     cells = np.full((len(table), width), ord(","), np.uint8)
     cells[:, ::2] = np.where(table.case_set.matrix, np.uint8(ord("1")), np.uint8(ord("0")))
     indicators = cells.tobytes().decode("ascii")
-    scores = np.column_stack([getattr(table, field) for _, field in COLUMNS]).tolist()
+    scores = np.column_stack([table.sums.raw_sums, table.sums.normalized, table.score_gmm_cdf,
+                              table.score_kde_cdf, table.score_posterior]).tolist()
     row = "%d,%s" + ",".join(["%.17g"] * len(COLUMNS)) + ",%s\n"
     return ",".join(header) + "\n" + "".join(
         row % (i, indicators[i * width : (i + 1) * width], *values, CATEGORY_NAMES[k])
@@ -128,7 +129,7 @@ def density_samples_to_csv(gmm, kde) -> str:
     xs = np.linspace(0.0, 1.0, 1001)
     scores = approach_scores(gmm, kde, xs)
     names = ["x", "gmm_pdf", *(f"component_{k + 1}_pdf" for k in range(gmm.n_components)),
-             "kde_pdf", *(column for column, _ in COLUMNS[-len(scores):])]
+             "kde_pdf", *COLUMNS[-len(scores):]]
     rows = np.column_stack([xs, gmm.pdf(xs), gmm.component_pdfs(xs), kde.pdf(xs), *scores])
     row = ",".join(["%.17g"] * len(names)) + "\n"
     return ",".join(names) + "\n" + "".join(row % tuple(values) for values in rows.tolist())

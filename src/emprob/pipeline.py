@@ -61,7 +61,7 @@ from emprob.scoring import (
     DEFAULT_THRESHOLDS,
     ScoreTable,
     elicit_probabilities,
-    real_bound,
+    validate_band,
     validate_thresholds,
 )
 
@@ -100,15 +100,11 @@ class PipelineConfig:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         object.__setattr__(self, "thresholds", validate_thresholds(self.thresholds))
         try:
-            bands = tuple((real_bound(lo), real_bound(hi)) for lo, hi in self.bands)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(
-                f"bands must be [lo, hi] pairs of real numbers, got {self.bands!r}"
-            ) from None
+            bands = tuple(map(validate_band, self.bands))
+        except TypeError:  # bands itself is not iterable
+            raise ValidationError(f"bands must be [lo, hi] pairs, got {self.bands!r}") from None
         seen: dict[str, tuple[float, float]] = {}
         for lo, hi in bands:
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValidationError(f"band must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
             # two bands with one tag would write the same three files
             tag = band_tag((lo, hi))
             if tag in seen:

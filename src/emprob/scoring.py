@@ -15,16 +15,17 @@ gathers the scores back per case.  With quarter-point weights every raw sum
 is the correctly rounded exact value, so cases with equal sums get
 identical scores.  A single case is scored at its own normalized sum alone:
 each point's scores are computed on their own, so they are the bits of the
-case's table row, without the table.  ``COLUMNS``
-names the per-case numbers once, for the table, the score files and the
-single-case row alike.
+case's table row, without the table.  The score table holds the three
+scores and reads the cases and their sums from its ``WeightSumTable``.
+``COLUMNS`` names the per-case numbers once, two sums and three scores, for
+the score files and the single-case row alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from numbers import Real
+from numbers import Integral, Real
 from typing import Any, Iterable
 
 import numpy as np
@@ -35,17 +36,12 @@ from emprob.schema import ValidationError
 
 DEFAULT_THRESHOLDS = (0.33, 0.68)
 
-# (output column, ScoreTable field) of each per-case number, in output
-# order; the last three are the scores of approaches 1, 2 and 3
-COLUMNS = (
-    ("raw_sum", "raw_sums"),
-    ("normalized_sum", "normalized"),
-    ("p_gmm_cdf", "score_gmm_cdf"),
-    ("p_kde_cdf", "score_kde_cdf"),
-    ("p_posterior", "score_posterior"),
-)
+# the output column of each per-case number, in output order: the raw and
+# normalized sums, then the scores of approaches 1, 2 and 3
+COLUMNS = ("raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf", "p_posterior")
 
 APPROACHES = (1, 2, 3)
+_SCORE_FIELDS = ("score_gmm_cdf", "score_kde_cdf", "score_posterior")  # in APPROACHES order
 
 
 class ProbabilityCategory(IntEnum):
@@ -77,6 +73,18 @@ def validate_thresholds(thresholds: tuple[float, float]) -> tuple[float, float]:
             f"thresholds must satisfy 0 < t1 < t2 < 1, got ({t1}, {t2})"
         )
     return t1, t2
+
+
+def validate_band(band: tuple[float, float]) -> tuple[float, float]:
+    """A probability band as two floats lo, hi with 0 <= lo < hi <= 1; each
+    bound must pass ``real_bound``."""
+    try:
+        lo, hi = (real_bound(b) for b in band)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"a band must be [lo, hi], two real numbers, got {band!r}") from None
+    if not (0.0 <= lo < hi <= 1.0):
+        raise ValidationError(f"band must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
+    return lo, hi
 
 
 def categorize_array(
@@ -117,14 +125,13 @@ def _check_scores(scores) -> None:
 class ScoreTable:
     """Scores for every case of a weight-sum table, rows in canonical order.
 
-    The category column is computed on construction: the approach-1
-    (gmm_cdf) category under the table's thresholds.  Every column is
-    read-only.
+    The cases and their raw and normalized sums are read from ``sums``; the
+    table holds only the three scores beside them.  The category column is
+    computed on construction: the approach-1 (gmm_cdf) category under the
+    table's thresholds.  Every column is read-only.
     """
 
-    case_set: CaseSet
-    raw_sums: np.ndarray
-    normalized: np.ndarray
+    sums: WeightSumTable
     score_gmm_cdf: np.ndarray
     score_kde_cdf: np.ndarray
     score_posterior: np.ndarray
@@ -132,28 +139,28 @@ class ScoreTable:
     category: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.raw_sums.size
-        names = [name for _, name in COLUMNS]
-        for name in names:
-            if getattr(self, name).shape != (n,):
-                raise ValidationError(f"{name} length does not match raw_sums")
-        _check_scores(self.scores_by_approach(approach) for approach in APPROACHES)
+        for name in _SCORE_FIELDS:
+            if getattr(self, name).shape != (len(self.sums),):
+                raise ValidationError(f"{name} length does not match the sums")
+        _check_scores(getattr(self, name) for name in _SCORE_FIELDS)
         object.__setattr__(self, "category",
                            categorize_array(self.score_gmm_cdf, self.thresholds))
-        for name in (*names, "category"):
+        for name in (*_SCORE_FIELDS, "category"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
-        return int(self.raw_sums.size)
+        return len(self.sums)
 
     @property
-    def answer_ids(self) -> tuple[str, ...]:
-        return self.case_set.answer_ids
+    def case_set(self) -> CaseSet:
+        return self.sums.case_set
 
     def scores_by_approach(self, approach: int) -> np.ndarray:
-        if approach not in APPROACHES:
+        """The scores of approach 1, 2 or 3, an integer that is not a bool."""
+        integer = isinstance(approach, Integral) and not isinstance(approach, bool)
+        if not integer or approach not in APPROACHES:
             raise ValidationError(f"approach must be one of {APPROACHES}, got {approach!r}")
-        return getattr(self, COLUMNS[-len(APPROACHES):][approach - 1][1])
+        return getattr(self, _SCORE_FIELDS[approach - 1])
 
 
 def elicit_probabilities(
@@ -168,12 +175,10 @@ def elicit_probabilities(
     The models must have been fitted on the table's normalized sums.
     """
     thresholds = validate_thresholds(thresholds)
-    x = table.normalized
     # each distinct sum is scored once and the scores gathered back per case
-    atoms, inverse = np.unique(x, return_inverse=True)
+    atoms, inverse = np.unique(table.normalized, return_inverse=True)
     p1, p2, p3 = (s[inverse] for s in approach_scores(gmm, kde, atoms))
-    return ScoreTable(case_set=table.case_set, raw_sums=table.raw_sums, normalized=x,
-                      score_gmm_cdf=p1, score_kde_cdf=p2, score_posterior=p3,
+    return ScoreTable(sums=table, score_gmm_cdf=p1, score_kde_cdf=p2, score_posterior=p3,
                       thresholds=thresholds)
 
 
@@ -205,6 +210,6 @@ def score_patient(
     category = categorize_array(scores[0], thresholds)
     return {
         "answers": sorted(case.true_answers),
-        **{column: float(v) for (column, _), v in zip(COLUMNS, (table.raw_sums[i], x, *scores))},
+        **{column: float(v) for column, v in zip(COLUMNS, (table.raw_sums[i], x, *scores))},
         "category": ProbabilityCategory(int(category)).name,
     }

@@ -22,6 +22,7 @@ import numpy as np
 
 from emprob.cases import CaseSet
 from emprob.schema import ValidationError
+from emprob.scoring import real_bound
 
 # labels are categories LOW, MEDIUM, HIGH
 _N_LABELS = 3
@@ -198,11 +199,15 @@ def prune_tree(root: TreeNode, alpha: float) -> TreeNode:
     strictly below alpha, so a subtree whose g ties alpha is kept.  alpha=0
     returns an unchanged copy; the input tree is not modified.
     """
-    if not alpha >= 0:  # also rejects NaN
+    # every link strength is below 1, so any alpha from 1 up collapses every
+    # split as 1 does; clamped to [-1, 1], an integer beyond any float converts
+    try:
+        capped = real_bound(max(min(alpha, 1), -1))
+    except TypeError:
+        raise ValidationError(f"alpha must be a real number, got {alpha!r}") from None
+    if not capped >= 0:  # also rejects NaN
         raise ValidationError(f"alpha must be nonnegative, got {alpha!r}")
-    # alpha = p / q exactly; every link strength is below 1, so any alpha
-    # from 1 up, infinity too, collapses every split as alpha = 1 does
-    p, q = float(min(alpha, 1)).as_integer_ratio()
+    p, q = capped.as_integer_ratio()  # the capped alpha = p / q exactly
     n_total = root.n_samples
     # reversed preorder reaches a node after both its subtrees, the false
     # subtree first, so a split node pops its true child's result off the top

@@ -164,11 +164,18 @@ SCORE_FIELDS = ("raw_sums", "normalized", "score_gmm_cdf", "score_kde_cdf", "sco
 SCORE_COLUMNS = ("raw_sum", "normalized_sum", "p_gmm_cdf", "p_kde_cdf", "p_posterior")
 
 
+def score_columns(table):
+    """A ScoreTable's five numeric columns in SCORE_COLUMNS order: the two
+    sums it reads from its sum table, then its three scores."""
+    return (table.sums.raw_sums, table.sums.normalized,
+            table.score_gmm_cdf, table.score_kde_cdf, table.score_posterior)
+
+
 def scores_rows_text(table):
     """scores.csv built one row at a time from its cells and joined into
     one string, the reference text for scores_to_csv."""
-    lines = [",".join(["case_id", *table.answer_ids, *SCORE_COLUMNS, "category"])]
-    values = [getattr(table, field) for field in SCORE_FIELDS]
+    lines = [",".join(["case_id", *table.case_set.answer_ids, *SCORE_COLUMNS, "category"])]
+    values = score_columns(table)
     categories = [c.name for c in ProbabilityCategory]
     for i in range(len(table)):
         row = [str(i)]
@@ -180,8 +187,8 @@ def scores_rows_text(table):
 
 
 def read_scores_csv(text):
-    """A scores CSV as scores_to_csv renders it, parsed with csv into the
-    ScoreTable fields it holds, plus case_ids, answer_ids and matrix."""
+    """A scores CSV as scores_to_csv renders it, parsed with csv into its
+    SCORE_FIELDS and category, plus case_ids, answer_ids and matrix."""
     header, *rows = csv.reader(io.StringIO(text, newline=""))
     assert header[0] == "case_id" and header[-6:] == [*SCORE_COLUMNS, "category"], header
     assert rows and all(len(row) == len(header) for row in rows)

@@ -42,6 +42,7 @@ from reference_data import (
     random_context,
     read_cxt,
     read_scores_csv,
+    score_columns,
     support,
     unmerged_questionnaire,
 )
@@ -314,8 +315,9 @@ def test_criterion_10_property_suite(gmm, fitted_gmm, kde, sum_table,
             assert back.attributes == ctx.attributes
             np.testing.assert_array_equal(back.incidence, ctx.incidence)
         parsed = read_scores_csv(scores_to_csv(score_table))
-        for field in (*SCORE_FIELDS, "category"):
-            np.testing.assert_array_equal(getattr(parsed, field), getattr(score_table, field))
+        for field, column in zip(SCORE_FIELDS, score_columns(score_table)):
+            np.testing.assert_array_equal(getattr(parsed, field), column)
+        np.testing.assert_array_equal(parsed.category, score_table.category)
 
         elapsed = time.perf_counter() - start
         _emit(f"criterion 10: note - property suite ran in {elapsed:.1f}s")

@@ -6,8 +6,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from emprob import (
+    AnswerOption,
     AnswerWeightVector,
     CaseVector,
+    Question,
+    QuestionMode,
     Questionnaire,
     ValidationError,
     WeightMatrix,
@@ -101,6 +104,11 @@ def test_canonical_index_rejects_invalid(questionnaire, case_set):
         case_set.case(1536)
     with pytest.raises(ValidationError):
         case_set.case(-1)
+    # an index is an integer, and a bool or a float is none
+    for bad in (True, 1.5):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            case_set.case(bad)
+    assert case_set.case(np.int64(3)) == case_set.case(3)
 
 
 def test_validate_case_errors(questionnaire):
@@ -208,16 +216,23 @@ def test_normalize_sums_errors(case_set, weight_matrix):
         table(np.r_[np.nan, weight_matrix.values[0, 1:]])
 
 
-@pytest.mark.parametrize("raw, normalized, fault", [
-    (np.zeros(2), np.zeros(3), "equal-length vectors"),
-    (np.zeros((1, 2)), np.zeros((1, 2)), "equal-length vectors"),
-    (np.zeros(2), np.array([0.0, 1.5]), r"must lie in \[0, 1\]"),
-    (np.zeros(2), np.array([-0.5, 1.0]), r"must lie in \[0, 1\]"),
-], ids=["lengths", "2-d", "above", "below"])
-def test_weight_sum_table_rejects_malformed_sums(raw, normalized, fault):
-    one_case = enumerate_cases(Questionnaire(questions=(), merge_rules=()))
+ONE_CASE = Questionnaire(questions=(), merge_rules=())
+TWO_CASES = Questionnaire(questions=(Question(
+    "q", "", QuestionMode.EXCLUSIVE, (AnswerOption("a", ""), AnswerOption("b", ""))),))
+
+
+@pytest.mark.parametrize("questions, raw, fault", [
+    (TWO_CASES, np.zeros(3), "case set size does not match sums"),
+    (ONE_CASE, np.zeros((1, 2)), "case set size does not match sums"),
+    (ONE_CASE, np.array([5.0]), "at least two sums"),
+    (TWO_CASES, np.array([np.nan, 1.0]), "non-finite"),
+    (TWO_CASES, np.array([7.0, 7.0]), "all case sums identical"),
+], ids=["lengths", "2-d", "one-sum", "nan", "all-equal"])
+def test_weight_sum_table_rejects_malformed_sums(questions, raw, fault):
+    """A directly built table is checked as weight_sum_table's are: one sum
+    per case, and sums that min-max normalization maps onto [0, 1]."""
     with pytest.raises(ValidationError, match=fault):
-        WeightSumTable(raw, normalized, 0.0, 1.0, one_case)
+        WeightSumTable(raw, enumerate_cases(questions))
 
 
 def test_weight_sum_table_carries_case_set(case_set, sum_table):

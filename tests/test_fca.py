@@ -199,7 +199,7 @@ def test_enumerate_concepts_is_the_lattice_concepts():
 def test_band_context_full_range(score_table):
     ctx = build_band_context(score_table, (0.0, 1.0))
     assert ctx.n_objects == 1536
-    assert ctx.attributes == score_table.answer_ids
+    assert ctx.attributes == score_table.case_set.answer_ids
 
 
 def test_band_context_reference_counts(reference_score_table):
@@ -238,7 +238,8 @@ def test_band_context_empty_band(score_table):
 
 
 def test_band_context_rejects_bad_bands(score_table):
-    for band in ((-0.1, 0.5), (0.5, 1.1), (0.5, 0.5), (0.7, 0.2)):
+    # a bound is a real number, and a bool or a numeric string is none
+    for band in ((-0.1, 0.5), (0.5, 1.1), (0.5, 0.5), (0.7, 0.2), ("0", "0.5"), (False, True)):
         with pytest.raises(ValidationError):
             build_band_context(score_table, band)
 

@@ -8,6 +8,7 @@ from emprob import (
     FormalContext,
     PipelineConfig,
     ValidationError,
+    WeightSumTable,
     build_lattice,
     context_to_cxt,
     density_samples_to_csv,
@@ -24,6 +25,7 @@ from reference_data import (
     random_context,
     read_cxt,
     read_scores_csv,
+    score_columns,
     scores_rows_text,
     write_unmerged_inputs,
 )
@@ -88,10 +90,11 @@ def test_scores_csv_round_trip(score_table):
     assert len(text.splitlines()) == 1537
     parsed = read_scores_csv(text)
     assert parsed.case_ids == tuple(range(1536))
-    assert parsed.answer_ids == score_table.answer_ids
+    assert parsed.answer_ids == score_table.case_set.answer_ids
     np.testing.assert_array_equal(parsed.matrix, score_table.case_set.matrix)
-    for field in (*SCORE_FIELDS, "category"):
-        np.testing.assert_array_equal(getattr(parsed, field), getattr(score_table, field))
+    for field, column in zip(SCORE_FIELDS, score_columns(score_table)):
+        np.testing.assert_array_equal(getattr(parsed, field), column)
+    np.testing.assert_array_equal(parsed.category, score_table.category)
 
 
 def test_scores_csv_full_precision(score_table):
@@ -108,7 +111,7 @@ def test_scores_csv_matches_the_row_writer(score_table, tmp_path):
     unmerged = prepare(PipelineConfig(**write_unmerged_inputs(tmp_path))).table
     raw = np.random.default_rng(19).standard_normal(len(score_table)) * 10.0
     raw[:6] = (-0.0, 5e-324, 1e-300, 1 / 3, 7.2, -1e16)
-    special = dataclasses.replace(score_table, raw_sums=raw)
+    special = dataclasses.replace(score_table, sums=WeightSumTable(raw, score_table.case_set))
     for k, table in enumerate((score_table, unmerged, special)):
         assert scores_to_csv(table) == scores_rows_text(table), k
 

@@ -109,6 +109,7 @@ def test_config_defaults():
     {"bands": ((False, True),)},
     {"bands": (("0", "0.5"),)},
     {"bands": ((0.0, True),)},
+    {"bands": 5},
     {"thresholds": ("1e-1", "5e-1")},
     {"thresholds": (False, 0.5)},
 ])
@@ -455,7 +456,7 @@ def test_equal_sums_get_identical_scores(result):
     """Cases whose sums are equal (on the shipped 1/60 grid) get equal
     scores, bit for bit, under every approach."""
     table = result.table
-    grid = np.rint(table.raw_sums * 60)
+    grid = np.rint(table.sums.raw_sums * 60)
     assert np.unique(grid).size == 364
     for approach in APPROACHES:
         assert len(set(zip(grid, table.scores_by_approach(approach)))) == 364, approach

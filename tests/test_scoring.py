@@ -6,20 +6,27 @@ from numpy.testing import assert_array_equal
 
 from emprob import (
     CaseVector,
+    PipelineConfig,
     ProbabilityCategory,
     Questionnaire,
+    ScoreTable,
     ValidationError,
     WeightSumTable,
     categorize_array,
     elicit_probabilities,
     enumerate_cases,
     ill_component,
+    prepare,
     score_patient,
     validate_thresholds,
+    weight_sum_table,
 )
 from emprob.scoring import APPROACHES, COLUMNS
-from reference_data import REFERENCE_GMM
+from reference_data import REFERENCE_GMM, score_columns
 from test_cases import MAX_CASE, MIN_CASE
+
+# the ScoreTable field of each approach's scores
+APPROACH_FIELDS = ("score_gmm_cdf", "score_kde_cdf", "score_posterior")
 
 
 def test_threshold_validation():
@@ -64,7 +71,7 @@ def test_score_table_ranges_and_category_column(score_table):
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.001, 1.001])
-@pytest.mark.parametrize("field", [field for _, field in COLUMNS[-len(APPROACHES):]])
+@pytest.mark.parametrize("field", APPROACH_FIELDS)
 def test_score_table_rejects_a_score_outside_the_unit_interval(score_table, field, bad):
     scores = getattr(score_table, field).copy()
     scores[7] = bad
@@ -72,10 +79,16 @@ def test_score_table_rejects_a_score_outside_the_unit_interval(score_table, fiel
         dataclasses.replace(score_table, **{field: scores})
 
 
-@pytest.mark.parametrize("field", [field for _, field in COLUMNS[1:]])
-def test_score_table_rejects_a_column_of_another_length(score_table, field):
-    with pytest.raises(ValidationError, match=f"{field} length does not match raw_sums"):
-        dataclasses.replace(score_table, **{field: getattr(score_table, field)[1:]})
+@pytest.mark.parametrize("field", ["sums", *APPROACH_FIELDS])
+def test_score_table_rejects_a_column_of_another_length(score_table, questionnaire, field):
+    if field == "sums":  # the sums of the first question's cases alone
+        cases = enumerate_cases(Questionnaire(questionnaire.questions[:1]))
+        shorter = WeightSumTable(np.arange(float(len(cases))), cases)
+        fault = "score_gmm_cdf"
+    else:
+        shorter, fault = getattr(score_table, field)[1:], field
+    with pytest.raises(ValidationError, match=f"{fault} length does not match the sums"):
+        dataclasses.replace(score_table, **{field: shorter})
 
 
 def test_scores_by_approach_mapping(score_table):
@@ -83,26 +96,47 @@ def test_scores_by_approach_mapping(score_table):
     assert_array_equal(score_table.scores_by_approach(2), score_table.score_kde_cdf)
     assert_array_equal(score_table.scores_by_approach(3), score_table.score_posterior)
     assert APPROACHES == (1, 2, 3)
-    for bad in (0, 4, "1"):
+    # an approach is an integer, and a bool or a float is none
+    for bad in (0, 4, "1", 1.0, True, np.float64(1.0)):
         with pytest.raises(ValidationError):
             score_table.scores_by_approach(bad)
+    assert_array_equal(score_table.scores_by_approach(np.int64(2)), score_table.score_kde_cdf)
 
 
 def test_elicit_requires_case_set(sum_table):
-    """Every weight-sum table carries the case set its rows belong to."""
-    bounds = (sum_table.raw_sums, sum_table.normalized, sum_table.raw_min, sum_table.raw_max)
+    """Every weight-sum table carries the case set its rows belong to, and
+    takes nothing else: its bounds and normalized sums are derived."""
     with pytest.raises(TypeError):
-        WeightSumTable(*bounds)
+        WeightSumTable(sum_table.raw_sums)
+    with pytest.raises(TypeError):
+        WeightSumTable(sum_table.raw_sums, sum_table.normalized, sum_table.case_set)
     one_case = enumerate_cases(Questionnaire(questions=(), merge_rules=()))
-    with pytest.raises(ValidationError):
-        WeightSumTable(*bounds, one_case)
+    with pytest.raises(ValidationError, match="case set size does not match sums"):
+        WeightSumTable(sum_table.raw_sums, one_case)
+
+
+def test_score_table_reads_its_sums_from_the_sum_table(sum_table, case_set):
+    """Each per-case number has one home: the score table holds its sum
+    table, whose bounds and normalized sums derive from the raw sums."""
+    result = prepare(PipelineConfig())
+    assert result.table.sums is result.sum_table
+    assert result.table.case_set is result.case_set
+    assert result.kde.n_points == len(result.case_set)
+    direct = WeightSumTable(sum_table.raw_sums, case_set)
+    assert [f.name for f in dataclasses.fields(WeightSumTable) if f.init] == [
+        "raw_sums", "case_set"]
+    assert (direct.raw_min, direct.raw_max) == (sum_table.raw_min, sum_table.raw_max)
+    assert direct.normalized.tobytes() == sum_table.normalized.tobytes()
+    names = {f.name for f in dataclasses.fields(ScoreTable)}
+    assert names.isdisjoint({"raw_sums", "normalized", "case_set", "answer_ids"})
+    assert not hasattr(result.table, "raw_sums") and not hasattr(result.table, "normalized")
 
 
 def test_reference_scores_at_minimum_case(reference_score_table, questionnaire):
     from emprob import canonical_index
 
     i = canonical_index(MIN_CASE, questionnaire)
-    assert reference_score_table.normalized[i] == 0.0
+    assert reference_score_table.sums.normalized[i] == 0.0
     p1 = reference_score_table.score_gmm_cdf[i]
     p3 = reference_score_table.score_posterior[i]
     assert p1 == 0.0010337908499836654
@@ -125,10 +159,10 @@ def test_score_patient_matches_table_rows(sum_table, gmm, kde, score_table, case
     for i in range(len(case_set)):
         case = case_set.case(i)
         row = score_patient(case, sum_table, gmm, kde)
-        assert list(row) == ["answers", *(column for column, _ in COLUMNS), "category"]
+        assert list(row) == ["answers", *COLUMNS, "category"]
         assert row["answers"] == sorted(case.true_answers)
-        for column, field in COLUMNS:
-            assert row[column].hex() == float(getattr(score_table, field)[i]).hex(), column
+        for column, values in zip(COLUMNS, score_columns(score_table)):
+            assert row[column].hex() == float(values[i]).hex(), column
         assert row["category"] == ProbabilityCategory(score_table.category[i]).name
 
 

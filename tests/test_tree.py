@@ -244,14 +244,19 @@ def test_prune_alpha_zero_is_identity(tree_full):
 
 def test_prune_alpha_infinite_collapses_to_root_leaf(tree_full):
     pruned = prune_tree(tree_full, 1e9)
+    assert prune_tree(tree_full, 10**400) == pruned  # an integer beyond any float
     assert pruned.is_leaf
     assert pruned.counts == (508, 530, 498)
     assert pruned.prediction == 1  # MEDIUM is the global majority
 
 
 def test_prune_rejects_negative_alpha(tree_full):
-    for alpha in (-0.01, float("nan")):
-        with pytest.raises(ValidationError):
+    for alpha in (-0.01, float("nan"), -10**400):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            prune_tree(tree_full, alpha)
+    # alpha is a real number, and a bool or a numeric string is none
+    for alpha in (True, "0.1"):
+        with pytest.raises(ValidationError, match="must be a real number"):
             prune_tree(tree_full, alpha)
 
 
