@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from emprob.schema import AnswerWeightVector, Questionnaire, ValidationError
+from emprob.schema import AnswerWeightVector, Questionnaire, ValidationError, _read_only_copy
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class CaseSet:
             block = np.array([[a.id in c for a in q.answers] for c in q.combinations()])
             matrix = np.hstack([np.repeat(matrix, len(block), axis=0),
                                 np.tile(block, (len(matrix), 1))])
-        matrix.setflags(write=False)
-        self.matrix = matrix
+        self.matrix = _read_only_copy(matrix)
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -94,13 +93,13 @@ def enumerate_cases(questionnaire: Questionnaire) -> CaseSet:
     return CaseSet(questionnaire)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSumTable:
-    """Per-case weight sums in canonical order and their min-max
-    normalization onto [0, 1], derived on construction: the minimum maps to
-    0 and the maximum to 1, and the fit report records both bounds.  Fewer
-    than two sums, a non-finite sum, or all sums equal is an error, since
-    the affine map is then undefined."""
+    """Per-case weight sums in canonical order, held as a read-only copy,
+    and their min-max normalization onto [0, 1], derived on construction:
+    the minimum maps to 0 and the maximum to 1, and the fit report records
+    both bounds.  Fewer than two sums, a non-finite sum, or all sums equal
+    is an error, since the affine map is then undefined."""
 
     raw_sums: np.ndarray
     case_set: CaseSet
@@ -109,7 +108,7 @@ class WeightSumTable:
     normalized: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.raw_sums, dtype=float)
+        raw = _read_only_copy(self.raw_sums, float)
         if raw.shape != (len(self.case_set),):
             raise ValidationError("case set size does not match sums")
         if raw.size < 2:
@@ -119,11 +118,8 @@ class WeightSumTable:
         lo, hi = float(raw.min()), float(raw.max())
         if hi == lo:
             raise ValidationError("cannot normalize: all case sums identical")
-        normalized = (raw - lo) / (hi - lo)
-        for a in (raw, normalized):
-            a.setflags(write=False)
         for name, value in (("raw_sums", raw), ("raw_min", lo), ("raw_max", hi),
-                            ("normalized", normalized)):
+                            ("normalized", _read_only_copy((raw - lo) / (hi - lo)))):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:

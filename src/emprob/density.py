@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from emprob.schema import ValidationError
+from emprob.schema import ValidationError, _read_only_copy
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _SIGMA_FLOOR = 1e-6
@@ -524,7 +524,6 @@ _BLOCK_BYTES = 128 << 10
 _BLOCK_ENTRY_BYTES = np.dtype(np.complex128).itemsize
 
 
-# compared by identity: the sample is an init-only value, not a field
 @dataclass(frozen=True, eq=False)
 class KernelDensityEstimate:
     """Gaussian-kernel density estimate over a fixed sample.
@@ -546,12 +545,9 @@ class KernelDensityEstimate:
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
         atoms, counts = np.unique(x, return_counts=True)
-        counts = counts.astype(float)
-        for a in (atoms, counts):
-            a.setflags(write=False)
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        object.__setattr__(self, "_atoms", atoms)
-        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_atoms", _read_only_copy(atoms))
+        object.__setattr__(self, "_counts", _read_only_copy(counts, float))
 
     @classmethod
     def from_data(cls, data) -> "KernelDensityEstimate":

@@ -27,11 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from emprob.schema import ValidationError
+from emprob.schema import ValidationError, _read_only_copy
 from emprob.scoring import validate_band
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormalContext:
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
@@ -42,14 +42,12 @@ class FormalContext:
             raise ValidationError("duplicate object names")
         if len(set(self.attributes)) != len(self.attributes):
             raise ValidationError("duplicate attribute names")
-        inc = np.asarray(self.incidence, dtype=bool)
-        if inc.shape != (len(self.objects), len(self.attributes)):
+        object.__setattr__(self, "incidence", _read_only_copy(self.incidence, bool))
+        if self.incidence.shape != (len(self.objects), len(self.attributes)):
             raise ValidationError(
-                f"incidence shape {inc.shape} does not match "
+                f"incidence shape {self.incidence.shape} does not match "
                 f"{len(self.objects)} objects x {len(self.attributes)} attributes"
             )
-        inc.setflags(write=False)
-        object.__setattr__(self, "incidence", inc)
 
     @property
     def n_objects(self) -> int:
@@ -147,7 +145,7 @@ def enumerate_concepts(context: FormalContext) -> tuple[tuple[tuple, tuple], ...
 
 @dataclass(frozen=True, eq=False)
 class ConceptLattice:
-    """Concepts plus their covering relation, held as arrays.
+    """Concepts plus their covering relation, held as read-only arrays.
 
     Row k of ``intents`` (K x attributes, bool) and ``extent_bits`` (K x
     max(1, ceil(objects / 8)), uint8) is concept k, in lectic order of the
@@ -167,8 +165,8 @@ class ConceptLattice:
     covers: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.intents, self.extent_bits, self.covers):
-            a.setflags(write=False)
+        for name in ("intents", "extent_bits", "covers"):
+            object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
 
     @property
     def extent_sizes(self) -> np.ndarray:

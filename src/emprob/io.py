@@ -88,7 +88,8 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
     """
     sizes = lattice.extent_sizes
     home = np.where(lattice.intents, sizes[:, None], -1).argmax(axis=0).tolist()
-    nodes = list(map('  c%d [label="|extent| = %d"];'.__mod__, enumerate(sizes.tolist())))
+    ids = list(map(str, range(len(sizes))))
+    nodes = [f'  c{k} [label="|extent| = {n}"];' for k, n in zip(ids, sizes.tolist())]
     introduced: dict[int, list[str]] = {}
     for name, k in zip(lattice.context.attributes, home):
         introduced.setdefault(k, []).append(name)
@@ -96,8 +97,8 @@ def lattice_to_dot(lattice: ConceptLattice) -> str:
         label = _dot_label([", ".join(names), f"|extent| = {sizes[k]}"])
         nodes[k] = f"  c{k} [label={label}];"
     # an edge line is its upper node's head and its lower node's tail
-    head = np.array(["  c%d -> " % k for k in range(len(nodes))], dtype=object)
-    tail = np.array(["c%d;\n" % k for k in range(len(nodes))], dtype=object)
+    head = np.array([f"  c{k} -> " for k in ids], dtype=object)
+    tail = np.array([f"c{k};\n" for k in ids], dtype=object)
     edges = np.stack([head[lattice.covers[:, 1]], tail[lattice.covers[:, 0]]], axis=1)
     lines = ["digraph concept_lattice {", "  node [shape=ellipse];", *nodes, ""]
     return "\n".join(lines) + "".join(edges.ravel().tolist()) + "}\n"

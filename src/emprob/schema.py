@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 from typing import Mapping
 
@@ -29,6 +30,15 @@ _ID_FORBIDDEN = ',;"\r\n'
 class ValidationError(ValueError):
     """Invalid input data: malformed schema, out-of-range or missing weights,
     or a case assignment that violates question constraints."""
+
+
+def _read_only_copy(value, dtype=None) -> np.ndarray:
+    """A new read-only array of ``value``: what every record that holds an
+    array stores, so that no write crosses between it and its caller; such
+    records compare and hash by identity (``eq=False``)."""
+    a = np.array(value, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 class QuestionMode(Enum):
@@ -151,9 +161,10 @@ class Questionnaire:
         raise KeyError(answer_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Per-doctor, per-answer weights, every cell present and in [-1, 3]."""
+    """Per-doctor, per-answer weights, every cell present and in [-1, 3],
+    held as a read-only copy."""
 
     doctors: tuple[str, ...]
     answer_ids: tuple[str, ...]
@@ -164,34 +175,32 @@ class WeightMatrix:
             raise ValidationError("duplicate doctor ids")
         if len(set(self.answer_ids)) != len(self.answer_ids):
             raise ValidationError("duplicate answer ids in weight matrix")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.doctors), len(self.answer_ids)):
+        object.__setattr__(self, "values", _read_only_copy(self.values, float))
+        if self.values.shape != (len(self.doctors), len(self.answer_ids)):
             raise ValidationError(
-                f"weight matrix shape {values.shape} does not match "
+                f"weight matrix shape {self.values.shape} does not match "
                 f"{len(self.doctors)} doctors x {len(self.answer_ids)} answers"
             )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnswerWeightVector:
-    """Per-answer weight totals over doctors; the mean weights are
-    ``totals / n_doctors``.  Quarter-point weights and their merge means are
-    dyadic, so the totals, and any sum of them, are exact floats."""
+    """Per-answer weight totals over doctors, a read-only copy; the mean
+    weights are ``totals / n_doctors``.  Quarter-point weights and their merge
+    means are dyadic, so the totals, and any sum of them, are exact floats."""
 
     answer_ids: tuple[str, ...]
     totals: np.ndarray  # shape (n_answers,), float64
     n_doctors: int
 
     def __post_init__(self) -> None:
-        totals = np.asarray(self.totals, dtype=float)
-        if totals.shape != (len(self.answer_ids),):
+        object.__setattr__(self, "totals", _read_only_copy(self.totals, float))
+        if self.totals.shape != (len(self.answer_ids),):
             raise ValidationError("weight total vector length mismatch")
-        if self.n_doctors < 1:
-            raise ValidationError("weight totals need at least one doctor")
-        totals.setflags(write=False)
-        object.__setattr__(self, "totals", totals)
+        n = self.n_doctors
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValidationError(f"weight totals need at least one doctor, counted "
+                                  f"by an integer, got {n!r}")
 
     @property
     def values(self) -> np.ndarray:

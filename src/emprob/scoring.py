@@ -32,7 +32,7 @@ import numpy as np
 
 from emprob.cases import CaseSet, CaseVector, WeightSumTable, canonical_index
 from emprob.density import GaussianMixture, KernelDensityEstimate
-from emprob.schema import ValidationError
+from emprob.schema import ValidationError, _read_only_copy
 
 DEFAULT_THRESHOLDS = (0.33, 0.68)
 
@@ -121,14 +121,14 @@ def _check_scores(scores) -> None:
             raise ValidationError(f"approach {approach} scores outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Scores for every case of a weight-sum table, rows in canonical order.
 
     The cases and their raw and normalized sums are read from ``sums``; the
     table holds only the three scores beside them.  The category column is
     computed on construction: the approach-1 (gmm_cdf) category under the
-    table's thresholds.  Every column is read-only.
+    table's thresholds.  Every column is a read-only copy.
     """
 
     sums: WeightSumTable
@@ -140,13 +140,12 @@ class ScoreTable:
 
     def __post_init__(self) -> None:
         for name in _SCORE_FIELDS:
+            object.__setattr__(self, name, _read_only_copy(getattr(self, name), float))
             if getattr(self, name).shape != (len(self.sums),):
                 raise ValidationError(f"{name} length does not match the sums")
         _check_scores(getattr(self, name) for name in _SCORE_FIELDS)
-        object.__setattr__(self, "category",
-                           categorize_array(self.score_gmm_cdf, self.thresholds))
-        for name in (*_SCORE_FIELDS, "category"):
-            getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "category", _read_only_copy(
+            categorize_array(self.score_gmm_cdf, self.thresholds)))
 
     def __len__(self) -> int:
         return len(self.sums)

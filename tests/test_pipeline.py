@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import emprob
 from emprob import fca, pipeline, tree
 from emprob.scoring import APPROACHES
 from emprob import (
@@ -562,6 +563,47 @@ def test_every_stored_array_of_a_prepared_result_is_read_only(result):
     assert [path for path, a in arrays.items() if a.flags.writeable] == []
 
 
+def init_args(record):
+    """The dataclass record's init fields, in order: what builds it again."""
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record) if f.init)
+
+
+# each record type that holds arrays, and the arguments that built one of a
+# prepared result
+ARRAY_RECORD_ARGS = {
+    "WeightMatrix": lambda r: init_args(r.weight_matrix),
+    "AnswerWeightVector": lambda r: init_args(r.mean_weight_vector),
+    "CaseSet": lambda r: (r.questionnaire,),
+    "WeightSumTable": lambda r: init_args(r.sum_table),
+    "ScoreTable": lambda r: init_args(r.table),
+    "KernelDensityEstimate": lambda r: (r.sum_table.normalized, r.kde.bandwidth),
+    "FormalContext": lambda r: init_args(r.lattices[9][1].context),
+    "ConceptLattice": lambda r: init_args(r.lattices[9][1]),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_RECORD_ARGS))
+def test_records_own_read_only_copies_and_compare_by_identity(result, name):
+    """A record that holds arrays stores read-only copies of them, so a
+    write to the caller's array after construction leaves it as it was, and
+    it compares and hashes by identity: two built from equal arrays differ."""
+    def build():
+        args = [a.copy() if isinstance(a, np.ndarray) else a
+                for a in ARRAY_RECORD_ARGS[name](result)]
+        return getattr(emprob, name)(*args), [a for a in args if isinstance(a, np.ndarray)]
+
+    first, given = build()
+    second, _ = build()
+    assert first == first and first != second
+    assert hash(first) == object.__hash__(first) and hash(second) != hash(first)
+    stored = dict(stored_arrays(first, name, set()))
+    assert stored and [path for path, a in stored.items() if a.flags.writeable] == []
+    before = {path: a.copy() for path, a in stored.items()}
+    for a in given:
+        a.fill(7)
+    assert [path for path, a in stored.items() if not np.array_equal(a, before[path])] == []
+
+
 def test_writing_the_default_run_leaves_the_extents_packed(tmp_path):
     """The DOT writer reads extent sizes from the packed bits, so writing
     the default run unpacks no lattice's extents: none builds its concepts."""
@@ -664,6 +706,38 @@ def test_no_function_calls_itself():
     package = Path(pipeline.__file__).parent
     found = {path.name: self_calling_functions(path) for path in sorted(package.glob("*.py"))}
     assert {name: functions for name, functions in found.items() if functions} == {}
+
+
+def array_records(path):
+    """(class name, declares eq=False) for each dataclass of the module that
+    has a field annotated ``np.ndarray``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        arrays = any(isinstance(s, ast.AnnAssign) and ast.unparse(s.annotation) == "np.ndarray"
+                     for s in node.body)
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            if arrays and ast.unparse(call.func if call else decorator) == "dataclass":
+                yield node.name, "eq=False" in map(ast.unparse, call.keywords if call else [])
+
+
+def test_records_freeze_arrays_in_one_place():
+    """Only schema._read_only_copy calls setflags, and every dataclass with
+    an array field compares by identity, since the generated __eq__ and
+    __hash__ fail on arrays."""
+    package = Path(pipeline.__file__).parent
+    sites, records = [], {}
+    for path in sorted(package.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(node) for function in module.body if isinstance(function, ast.FunctionDef)
+                  and function.name == "_read_only_copy" for node in ast.walk(function)}
+        sites += [(path.name, id(node) in helper) for node in ast.walk(module)
+                  if isinstance(node, ast.Attribute) and node.attr == "setflags"]
+        records.update(array_records(path))
+    assert sites == [("schema.py", True)]
+    assert records == dict.fromkeys(["AnswerWeightVector", "ConceptLattice", "FormalContext",
+                                     "ScoreTable", "WeightMatrix", "WeightSumTable"], True)
 
 
 def test_write_artifacts_deterministic(result, tmp_path):

@@ -325,8 +325,14 @@ def test_doctor_count_configurable(questionnaire, weight_matrix):
      re.escape("weight matrix shape (1, 3) does not match 1 doctors x 2 answers")),
     (lambda: AnswerWeightVector(("a",), np.zeros(2), 1), "length mismatch"),
     (lambda: AnswerWeightVector(("a",), np.zeros(1), 0), "need at least one doctor"),
+    (lambda: AnswerWeightVector(("a",), np.zeros(1), True), "need at least one doctor"),
+    (lambda: AnswerWeightVector(("a",), np.zeros(1), 1.5), "need at least one doctor"),
+    (lambda: AnswerWeightVector(("a",), np.zeros(1), np.float64(2.0)),
+     "need at least one doctor"),
+    (lambda: AnswerWeightVector(("a",), np.zeros(1), "3"), "need at least one doctor"),
     (lambda: mean_weights(WeightMatrix((), ("a",), np.zeros((0, 1)))), "empty doctor list"),
-], ids=["doctors", "answers", "shape", "totals", "n_doctors", "mean"])
+], ids=["doctors", "answers", "shape", "totals", "n_doctors", "n_doctors_bool",
+        "n_doctors_float", "n_doctors_numpy_float", "n_doctors_string", "mean"])
 def test_weight_containers_reject_malformed_input(build, fault):
     with pytest.raises(ValidationError, match=fault):
         build()
