@@ -80,10 +80,18 @@ def _print_trees(result: PipelineResult, args: argparse.Namespace) -> None:
         )
 
 
+def _write_kept_lattices(result: PipelineResult) -> list:
+    """write_lattices on lattices that stay kept for the summary, so each
+    band's lattice is built once."""
+    result.lattices
+    return write_lattices(result)
+
+
 def _print_lattices(result: PipelineResult, args: argparse.Namespace) -> None:
-    for band, lattice in result.lattices:
+    for (lo, hi), lattice in result.lattices:
+        close = "]" if hi == 1.0 else ")"  # the top band includes a score of 1
         print(
-            f"band [{band[0]:g}, {band[1]:g}): {lattice.context.n_objects} cases, "
+            f"band [{lo:g}, {hi:g}{close}: {lattice.context.n_objects} cases, "
             f"{len(lattice.intents)} concepts"
         )
 
@@ -105,7 +113,8 @@ COMMANDS = {
     "fit": ("write the fit report and density samples", write_fit, _print_selection),
     "score": ("write the score table", write_scores, _print_case_count),
     "tree": ("write the decision-tree DOT files", write_trees, _print_trees),
-    "lattice": ("write per-band CXT, lattice DOT, and supports", write_lattices, _print_lattices),
+    "lattice": ("write per-band CXT, lattice DOT, and supports", _write_kept_lattices,
+                _print_lattices),
     "report": ("write every artifact", write_artifacts, _print_case_count),
     "score-patient": ("score one answer combination", None, _print_patient),
 }

@@ -3,8 +3,9 @@
 PipelineResult(config) computes each stage the first time something reads
 it and keeps it, so a caller pays only for the stages it reads; the
 component selection and the chosen mixture share one EM fit per m.
-prepare() reads every stage.  Each artifact group has its own writer, and
-write_artifacts writes all four:
+prepare() reads every stage but the lattices, which a caller reads through
+``result.lattices`` to keep them.  Each artifact group has its own writer,
+and write_artifacts writes all four, the lattices first:
 
 - write_scores: scores.csv, one row per case with sums, scores, and category
 - write_fit: fit_report.json (candidate fits, information criteria, chosen
@@ -14,7 +15,9 @@ write_artifacts writes all four:
   and after cost-complexity pruning
 - write_lattices: band_<lo>_<hi>.cxt, lattice_<lo>_<hi>.dot,
   supports_<lo>_<hi>.csv: one formal context, concept lattice, and support
-  table per probability band
+  table per probability band; unless the lattices were read and kept, each
+  band's lattice is built, written and dropped before the next is built, so
+  a report holds one lattice at a time
 
 Each writer renders its texts with ``emprob.io`` and hands them to one
 private ``_write``, the only code in the package that writes files.  Reruns
@@ -221,13 +224,13 @@ class PipelineResult:
     @cached_property
     def lattices(self) -> tuple[tuple[tuple[float, float], ConceptLattice], ...]:
         """Each band's concept lattice; its context is ``lattice.context``."""
+        return tuple((band, self._lattice(band)) for band in self.config.bands)
+
+    def _lattice(self, band: tuple[float, float]) -> ConceptLattice:
+        """One band's concept lattice, built anew on every call."""
         from emprob.fca import build_band_context, build_lattice
 
-        approach = self.config.band_approach
-        return tuple(
-            (band, build_lattice(build_band_context(self.table, band, approach)))
-            for band in self.config.bands
-        )
+        return build_lattice(build_band_context(self.table, band, self.config.band_approach))
 
 
 def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
@@ -251,9 +254,11 @@ def load_inputs(cfg: PipelineConfig) -> tuple[Questionnaire, WeightMatrix]:
 
 
 def prepare(cfg: PipelineConfig) -> PipelineResult:
-    """Compute every pipeline stage in memory, writing nothing."""
+    """Compute every pipeline stage but the lattices in memory, writing
+    nothing.  The lattices are computed when ``result.lattices`` is read;
+    unread, ``write_lattices`` builds and drops one band's at a time."""
     result = PipelineResult(cfg)
-    for stage in ("selection", "gmm_report", "table", "tree_pruned", "lattices"):
+    for stage in ("selection", "gmm_report", "table", "tree_pruned"):
         getattr(result, stage)
     return result
 
@@ -310,8 +315,10 @@ def _write(
     result: PipelineResult, output_dir: str | Path | None, files: Iterable[tuple[str, str]]
 ) -> list[Path]:
     """Write each (file name, text) pair into the output directory, created
-    first; returns the paths.  Each writer reads its stages before it calls
-    this, so a run whose inputs are rejected leaves no directory behind."""
+    first; returns the paths.  Each writer reads the stages that check its
+    inputs before it calls this, so a run whose inputs are rejected leaves
+    no directory behind; ``files`` may render, and build what it renders,
+    as it is iterated."""
     out = Path(result.config.output_dir if output_dir is None else output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -351,7 +358,9 @@ def write_trees(result: PipelineResult, output_dir: str | Path | None = None) ->
 
 def write_lattices(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
     """Write each band's context (CXT), lattice (DOT) and supports (CSV),
-    rendering one band's texts at a time."""
+    rendering one band's texts at a time.  Lattices already read through
+    ``result.lattices`` are written as kept; otherwise each band's lattice
+    is built, written and dropped before the next band's is built."""
     from emprob.io import context_to_cxt, lattice_to_dot, supports_to_csv
 
     def files(lattices):
@@ -360,14 +369,22 @@ def write_lattices(result: PipelineResult, output_dir: str | Path | None = None)
             yield f"band_{tag}.cxt", context_to_cxt(lattice.context)
             yield f"lattice_{tag}.dot", lattice_to_dot(lattice)
             yield f"supports_{tag}.csv", supports_to_csv(lattice.context)
+            del lattice  # dropped before the next band's lattice is built
 
-    return _write(result, output_dir, files(result.lattices))
+    result.table  # the bands' input, read before _write creates the directory
+    if "lattices" in vars(result):  # where cached_property keeps a value read
+        lattices = result.lattices
+    else:
+        lattices = ((band, result._lattice(band)) for band in result.config.bands)
+    return _write(result, output_dir, files(lattices))
 
 
 def write_artifacts(result: PipelineResult, output_dir: str | Path | None = None) -> list[Path]:
-    """Write every artifact group; returns the paths written."""
+    """Write every artifact group, the lattices first; returns the paths
+    written.  Built while the heap is still compact, the lattices add less
+    to the peak than after the large texts of the score writer."""
     return [
         path
-        for write in (write_scores, write_fit, write_trees, write_lattices)
+        for write in (write_lattices, write_scores, write_fit, write_trees)
         for path in write(result, output_dir)
     ]

@@ -89,12 +89,22 @@ def test_lattice_with_config_file(tmp_path, capsys):
     assert main(["--config", str(config), "lattice"]) == 0
     out = capsys.readouterr().out
     assert re.search(r"band \[0, 0\.5\): \d+ cases, \d+ concepts", out)
-    assert re.search(r"band \[0\.5, 1\): \d+ cases, \d+ concepts", out)
+    assert re.search(r"band \[0\.5, 1\]: \d+ cases, \d+ concepts", out)
     names = {p.name for p in (tmp_path / "out").iterdir()}
     assert names == {
         "band_0_0.5.cxt", "lattice_0_0.5.dot", "supports_0_0.5.csv",
         "band_0.5_1.cxt", "lattice_0.5_1.dot", "supports_0.5_1.csv",
     }
+
+
+def test_lattice_summary_closes_the_top_band(tmp_path, capsys):
+    """A band that ends at 1 holds the scores equal to 1, so its summary
+    line closes it; the line pins the one-band lattice of every case."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bands": [[0.0, 1.0]]}))
+    assert main(["--config", str(config), *cheap(tmp_path / "out", "lattice")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "band [0, 1]: 1536 cases, 8101 concepts"
 
 
 def test_report(tmp_path, capsys):
@@ -175,19 +185,21 @@ def test_subcommands_write_report_in_parts(tmp_path, capsys, stage_calls):
     config.write_text(json.dumps({"bands": [[0.0, 0.5], [0.5, 1.0]]}))
     needs = {  # subcommand -> (EM fits, tree growths, lattice builds)
         "fit": (1, 0, 0), "score": (1, 0, 0), "tree": (1, 1, 0), "lattice": (1, 0, 2),
+        "report": (1, 1, 2),
     }
-    parts = {}
+    written = {}
     for command, counts in needs.items():
         out = tmp_path / command
         assert main(["--config", str(config), *cheap(out, command)]) == 0
         assert tuple(len(c) for c in stage_calls.values()) == counts, command
         for c in stage_calls.values():
             c.clear()
-        for p in out.iterdir():
-            assert p.name not in parts, p.name
-            parts[p.name] = p.read_bytes()
-    assert main(["--config", str(config), *cheap(tmp_path / "report", "report")]) == 0
-    report = {p.name: p.read_bytes() for p in (tmp_path / "report").iterdir()}
+        written[command] = {p.name: p.read_bytes() for p in out.iterdir()}
+    report = written.pop("report")
+    parts = {}
+    for files in written.values():
+        assert parts.keys().isdisjoint(files), sorted(parts.keys() & files.keys())
+        parts.update(files)
     assert sorted(parts) == sorted(report)
     for name, data in report.items():
         assert parts[name] == data, name

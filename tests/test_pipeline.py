@@ -2,8 +2,10 @@ import ast
 import csv
 import dataclasses
 import filecmp
+import gc
 import hashlib
 import json
+import weakref
 from importlib.resources import files
 from pathlib import Path
 
@@ -556,6 +558,7 @@ def stored_arrays(obj, path, seen):
 def test_every_stored_array_of_a_prepared_result_is_read_only(result):
     """No stage's array can be written through: a write to the score
     table's category would change the tree and lattices built after it."""
+    result.lattices  # prepare() leaves the lattices unread
     arrays = dict(stored_arrays(result, "result", set()))
     assert {"result.table.category", "result.table.score_gmm_cdf", "result.case_set.matrix",
             "result.kde._atoms", "result.kde._counts", "result.lattices[9][1].extent_bits",
@@ -604,18 +607,57 @@ def test_records_own_read_only_copies_and_compare_by_identity(result, name):
     assert [path for path, a in stored.items() if not np.array_equal(a, before[path])] == []
 
 
-def test_writing_the_default_run_leaves_the_extents_packed(tmp_path):
-    """The DOT writer reads extent sizes from the packed bits, so writing
-    the default run unpacks no lattice's extents: none builds its concepts."""
+def test_writing_a_prepared_report_holds_one_lattice_at_a_time(tmp_path, monkeypatch):
+    """Writing a fresh default result builds each band's lattice, writes it
+    and drops it before the next band's is built, and keeps none: a spy on
+    fca.build_lattice counts the lattices still alive, after a full
+    collection, when each build starts."""
+    alive_at_build, refs = [], []
+    real = fca.build_lattice
+
+    def spy(context):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        lattice = real(context)
+        refs.append(weakref.ref(lattice))
+        return lattice
+
+    monkeypatch.setattr(fca, "build_lattice", spy)
     result = prepare(PipelineConfig())
     write_artifacts(result, tmp_path)
-    assert [band for band, lattice in result.lattices if "concepts" in vars(lattice)] == []
+    gc.collect()
+    assert alive_at_build == [0] * len(DEFAULT_BANDS)
+    assert [ref for ref in refs if ref() is not None] == []
+    assert "lattices" not in vars(result)
+
+
+def test_writing_the_default_run_leaves_the_extents_packed(tmp_path, monkeypatch):
+    """The DOT writer reads extent sizes from the packed bits, so writing
+    the default run unpacks no lattice's extents: none of the lattices it
+    builds builds its concepts."""
+    built = []
+    real = fca.build_lattice
+
+    def keeping(context):
+        built.append(real(context))
+        return built[-1]
+
+    monkeypatch.setattr(fca, "build_lattice", keeping)
+    write_artifacts(prepare(PipelineConfig()), tmp_path)
+    assert len(built) == len(DEFAULT_BANDS)
+    assert [i for i, lattice in enumerate(built) if "concepts" in vars(lattice)] == []
 
 
 def test_written_files_equal_their_renderers_text(result, default_files):
-    """Each default artifact, in the order written, is its renderer's text
-    encoded as UTF-8."""
-    expected = {
+    """Each default artifact, in the order written, lattices first, is its
+    renderer's text encoded as UTF-8."""
+    expected = {}
+    for band, lattice in result.lattices:
+        tag = band_tag(band)
+        expected[f"band_{tag}.cxt"] = context_to_cxt(lattice.context)
+        expected[f"lattice_{tag}.dot"] = lattice_to_dot(lattice)
+        expected[f"supports_{tag}.csv"] = supports_to_csv(lattice.context)
+    expected |= {
         "scores.csv": scores_to_csv(result.table),
         "fit_report.json": json.dumps(fit_report_document(result), indent=2, sort_keys=True)
         + "\n",
@@ -623,11 +665,6 @@ def test_written_files_equal_their_renderers_text(result, default_files):
         "tree_full.dot": tree_to_dot(result.tree_full),
         "tree_pruned.dot": tree_to_dot(result.tree_pruned),
     }
-    for band, lattice in result.lattices:
-        tag = band_tag(band)
-        expected[f"band_{tag}.cxt"] = context_to_cxt(lattice.context)
-        expected[f"lattice_{tag}.dot"] = lattice_to_dot(lattice)
-        expected[f"supports_{tag}.csv"] = supports_to_csv(lattice.context)
     assert list(default_files) == list(expected)
     for name, text in expected.items():
         assert default_files[name] == text.encode("utf-8"), name
